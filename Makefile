@@ -50,9 +50,11 @@ bench:
 # node, real protocol initiation, fault planes, snapshot/restore).
 # `race` covers these too via ./...; the named target keeps the
 # contract visible and lets CI fail fast on the one invariant the whole
-# PR hangs off.
+# PR hangs off. The event queue's differential fuzz corpus and the
+# banded-flush oracle ride along: barrier delivery order comes from the
+# queue key, so both back the same invariant.
 shardparity:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleMachineSnapshotRestore' ./internal/net ./internal/exp
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleFaultedPinned|TestScaleMachineSnapshotRestore|TestBandedFlushMatchesSortReference|FuzzEventQueue' ./internal/sim ./internal/net ./internal/exp
 
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),

@@ -12,7 +12,9 @@
 package bus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"uldma/internal/obs"
@@ -209,7 +211,7 @@ func (b *Bus) Map(dev Device, base phys.Addr, size uint64) error {
 		}
 	}
 	b.mappings = append(b.mappings, mapping{base: base, size: size, dev: dev})
-	sort.Slice(b.mappings, func(i, j int) bool { return b.mappings[i].base < b.mappings[j].base })
+	slices.SortFunc(b.mappings, func(x, y mapping) int { return cmp.Compare(x.base, y.base) })
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"uldma/internal/fault"
 	"uldma/internal/sim"
 )
 
@@ -43,6 +44,56 @@ func TestScaleShardParity(t *testing.T) {
 			}
 			if got != ref {
 				t.Errorf("shards=%d workers=%d diverges:\n got %+v\nwant %+v", shards, workers, got, ref)
+			}
+		}
+	}
+}
+
+// TestScaleFaultedPinned pins RunScaleFaulted's observation, drop and
+// duplicate tallies at every layout to the values of the sort-then-
+// schedule barrier exchange, so the fault-plane path of the flush can
+// change shape without changing one delivery. The first plan has no
+// jitter, so a duplicate's two copies tie on arrival; the second delays
+// copies past later messages' arrivals.
+func TestScaleFaultedPinned(t *testing.T) {
+	cases := []struct {
+		name        string
+		plan        fault.Plan
+		want        ScalePoint
+		drops, dups uint64
+	}{
+		{
+			name: "drop+dup",
+			plan: fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.02}},
+			want: ScalePoint{Nodes: 32, Arrival: 20000, Tenants: 2, Bytes: 64, Dur: sim.Millisecond,
+				Issued: 603, Completed: 576, Mean: 8945308, P50: 8640000, P99: 12640000,
+				GoodputMBps: 36.569812207496746, GoodputRPCs: 571403.3157421367,
+				Deliveries: 1168, Events: 1771, Windows: 618, Finish: 1008044553,
+				Fingerprint: 0x59b36d5bae86a34f},
+			drops: 44, dups: 17,
+		},
+		{
+			name: "jitter+reorder",
+			plan: fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.1,
+				Jitter: 3 * sim.Microsecond, Reorder: 0.2, ReorderBy: 2 * sim.Microsecond}},
+			want: ScalePoint{Nodes: 32, Arrival: 20000, Tenants: 2, Bytes: 64, Dur: sim.Millisecond,
+				Issued: 603, Completed: 665, Mean: 12597538, P50: 12322149, P99: 18000654,
+				GoodputMBps: 41.923723646221305, GoodputRPCs: 655058.1819722079,
+				Deliveries: 1303, Events: 1906, Windows: 632, Finish: 1015177000,
+				Fingerprint: 0xf7e5bdab114365ab},
+			drops: 53, dups: 115,
+		},
+	}
+	for _, tc := range cases {
+		for _, shards := range []int{1, 4, 8} {
+			p := Params{Nodes: 32, Shards: shards, Arrival: 20000, ScaleDur: sim.Millisecond}
+			pt, drops, dups, err := RunScaleFaulted(p, shards, fault.New(tc.plan, 77))
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+			}
+			if got := normalizeScale(pt); got != tc.want || drops != tc.drops || dups != tc.dups {
+				t.Errorf("%s shards=%d:\n got %+v (drops=%d dups=%d)\nwant %+v (drops=%d dups=%d)",
+					tc.name, shards, got, drops, dups, tc.want, tc.drops, tc.dups)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"uldma/internal/net"
 	"uldma/internal/sim"
@@ -128,7 +128,7 @@ func New(plan Plan, seed uint64) *Injector {
 		}
 		for lk := range in.scripts {
 			ns := in.scripts[lk]
-			sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+			slices.Sort(ns)
 		}
 	}
 	return in

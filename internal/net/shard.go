@@ -21,9 +21,11 @@ package net
 //     re-deal anyone's dice.
 //  2. ALL inter-node messages — even between two nodes of the same
 //     shard — are buffered into per-shard outboxes and exchanged only
-//     at window barriers, where they are sorted by the canonical key
-//     (Arrive, Src, per-source Seq) before being scheduled. Delivery
-//     interleaving is therefore a pure function of message content.
+//     at window barriers, where each is scheduled under the canonical
+//     key (Arrive, Src, per-source Seq): a barrier's deliveries to one
+//     shard share a queue seq band and rank by (Src, Seq) within it.
+//     Delivery interleaving is therefore a pure function of message
+//     content.
 //  3. The window horizon is computed from the GLOBAL earliest pending
 //     event (min over every shard queue), so the window sequence — and
 //     with it flush chronology — does not depend on the partition.
@@ -44,8 +46,9 @@ package net
 // shard clock is reset per event (sim.Shard.RunWindow).
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"uldma/internal/obs"
@@ -109,9 +112,9 @@ type SMsg struct {
 	Sent     sim.Time
 	Arrive   sim.Time
 	// Seq is the per-SOURCE send sequence number. (Arrive, Src, Seq)
-	// is the canonical flush sort key: strictly total (Seq is unique
-	// per source) and computed from message content only, so barrier
-	// scheduling order cannot depend on shard layout.
+	// is the canonical delivery key: strictly total (Seq is unique per
+	// source) and computed from message content only, so delivery order
+	// cannot depend on shard layout.
 	Seq uint64
 }
 
@@ -182,7 +185,8 @@ type ShardedCluster struct {
 	ctr    []shardCtr
 	traces []*obs.Trace // nil until EnableTrace
 
-	pending []SMsg // flush scratch: gathered + sorted outboxes
+	pending []SMsg   // flushJudged scratch: gathered + sorted outboxes
+	band    []uint64 // per destination shard: this barrier's seq band
 
 	deliver SDeliver
 	state   ShardState // optional model snapshot hook
@@ -252,6 +256,7 @@ func NewShardedCluster(cfg ShardedConfig) (*ShardedCluster, error) {
 		free:      make([][]*sdelivery, cfg.Shards),
 		ctr:       make([]shardCtr, cfg.Shards),
 		horizons:  make([]sim.Time, cfg.Shards),
+		band:      make([]uint64, cfg.Shards),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards[s] = sim.NewShard(s, hint)
@@ -485,88 +490,139 @@ func (c *ShardedCluster) land(d *sdelivery, now sim.Time) {
 	c.deliver(m, now)
 }
 
-// flush is the barrier exchange: gather every shard's outbox in fixed
-// shard-index order, sort by the canonical content key, and schedule
-// each message on its destination shard. Runs on the coordinator with
-// every shard parked.
+// flush is the barrier exchange: schedule every shard's outbox on the
+// message's destination shard. Runs on the coordinator with every shard
+// parked.
+//
+// Delivery order needs no sort. All of a barrier's deliveries to one
+// destination queue share a seq band (sim.EventQueue.ScheduleBand) taken
+// before the first of them is scheduled, so as a group they rank after
+// every event already queued and before every event scheduled later —
+// exactly where a sort-then-ScheduleFunc pass would put them — and among
+// themselves by the canonical (Src, Seq) key of deliverySub. Adaptive
+// mode keys deliveries by content in pri instead (deliveryPri). Only a
+// fault plane forces a sort: its judge draws must be taken in canonical
+// order (flushJudged).
 func (c *ShardedCluster) flush() {
+	if c.plane != nil {
+		c.flushJudged()
+		return
+	}
+	c.openBands()
+	for s, ob := range c.outbox {
+		for i := range ob {
+			m := &ob[i]
+			c.check(m)
+			c.post(m, m.Arrive, deliverySub(m.Src, m.Seq))
+		}
+		c.outbox[s] = ob[:0]
+	}
+}
+
+// flushJudged is flush with a fault plane attached: gather the outboxes
+// in shard-index order, sort by the canonical (Arrive, Src, Seq) key so
+// the plane judges every message in an order no layout can perturb, and
+// band each copy by its position in that order.
+func (c *ShardedCluster) flushJudged() {
 	c.pending = c.pending[:0]
 	for s := range c.outbox {
 		c.pending = append(c.pending, c.outbox[s]...)
 		c.outbox[s] = c.outbox[s][:0]
 	}
-	if len(c.pending) == 0 {
-		return
-	}
-	p := c.pending
-	sort.Slice(p, func(i, j int) bool {
-		if p[i].Arrive != p[j].Arrive {
-			return p[i].Arrive < p[j].Arrive
+	slices.SortFunc(c.pending, func(a, b SMsg) int {
+		if a.Arrive != b.Arrive {
+			return cmp.Compare(a.Arrive, b.Arrive)
 		}
-		if p[i].Src != p[j].Src {
-			return p[i].Src < p[j].Src
+		if a.Src != b.Src {
+			return cmp.Compare(a.Src, b.Src)
 		}
-		return p[i].Seq < p[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
-	for i := range p {
-		m := p[i]
-		ss, ds := int(c.nodeShard[m.Src]), int(c.nodeShard[m.Dst])
-		floor := c.lastHorizon
-		if c.cfg.Adaptive {
-			// Adaptive windows are exclusive of their bound, so an
-			// arrival exactly AT the destination's floor has not been
-			// run past yet.
-			floor = c.lastH[ds]
+	c.openBands()
+	for i := range c.pending {
+		m := &c.pending[i]
+		c.check(m)
+		verdict := c.plane.Judge(m.Src, m.Dst, m.Sent)
+		if verdict.N == 0 {
+			c.faultDrops++
+			continue
 		}
-		if m.Arrive < floor {
-			// The lookahead contract was violated: a message would land
-			// inside a window that already ran. Always a model bug (a
-			// Send from another node's event, or a latency floor beaten).
-			panic(fmt.Sprintf("net: sharded causality violation: arrival %v before horizon %v (src %d dst %d)",
-				m.Arrive, floor, m.Src, m.Dst))
+		c.faultDups += uint64(verdict.N - 1)
+		for k := 0; k < verdict.N; k++ {
+			// A copy's delay can carry it past later messages' arrivals,
+			// so the tie-break is the canonical position (then the copy
+			// index), which is the order a sequential scheduling pass in
+			// sorted order would produce.
+			c.post(m, m.Arrive+verdict.Copies[k].Delay, uint64(i)<<1|uint64(k))
 		}
-		if c.pairMin != nil && m.Arrive-m.Sent < c.pairMin[ss][ds] {
+	}
+}
+
+// openBands records, per destination queue, the seq band this barrier's
+// deliveries share.
+func (c *ShardedCluster) openBands() {
+	for ds, s := range c.shards {
+		c.band[ds] = s.Events.SnapshotSeq() + 1
+	}
+}
+
+// check panics if a flushed message breaks the synchronizer's
+// contracts.
+func (c *ShardedCluster) check(m *SMsg) {
+	ds := int(c.nodeShard[m.Dst])
+	floor := c.lastHorizon
+	if c.cfg.Adaptive {
+		// Adaptive windows are exclusive of their bound, so an arrival
+		// exactly AT the destination's floor has not been run past yet.
+		floor = c.lastH[ds]
+	}
+	if m.Arrive < floor {
+		// The lookahead contract was violated: a message would land
+		// inside a window that already ran. Always a model bug (a Send
+		// from another node's event, or a latency floor beaten).
+		panic(fmt.Sprintf("net: sharded causality violation: arrival %v before horizon %v (src %d dst %d)",
+			m.Arrive, floor, m.Src, m.Dst))
+	}
+	if c.pairMin != nil {
+		if ss := c.nodeShard[m.Src]; m.Arrive-m.Sent < c.pairMin[ss][ds] {
 			// A message beat the latency matrix's own floor for its shard
 			// pair: the Latency function returned inconsistent values (it
 			// must be pure) or a model bypassed Send.
 			panic(fmt.Sprintf("net: sharded latency-floor violation: wire time %v under shard-pair floor %v (src %d dst %d)",
 				m.Arrive-m.Sent, c.pairMin[ss][ds], m.Src, m.Dst))
 		}
-		verdict := Verdict{N: 1}
-		if c.plane != nil {
-			verdict = c.plane.Judge(m.Src, m.Dst, m.Sent)
-		}
-		if verdict.N == 0 {
-			c.faultDrops++
-			continue
-		}
-		if verdict.N > 1 {
-			c.faultDups += uint64(verdict.N - 1)
-		}
-		for k := 0; k < verdict.N; k++ {
-			cm := m
-			cm.Arrive += verdict.Copies[k].Delay
-			d := c.getDelivery(ds)
-			d.m = cm
-			if c.cfg.Adaptive {
-				// Different layouts flush the same messages at different
-				// barriers, so same-instant delivery order must come from
-				// message content, not scheduling order: deliveries rank
-				// after same-instant local events (high bit) and among
-				// themselves by the canonical (Src, Seq) key.
-				c.shards[ds].Events.SchedulePri(cm.Arrive, deliveryPri(cm.Src, cm.Seq), d.fire)
-			} else {
-				c.shards[ds].Events.ScheduleFunc(cm.Arrive, d.fire)
-			}
-		}
 	}
 }
 
-// deliveryPri packs a flushed message's canonical identity into one
-// priority word: the high bit puts deliveries after pri-0 local events
-// at the same instant, then source node, then per-source sequence.
+// post schedules one copy of m, landing at arrive, on its destination
+// shard. sub orders it within the barrier's band; adaptive mode ranks it
+// by content instead.
+func (c *ShardedCluster) post(m *SMsg, arrive sim.Time, sub uint64) {
+	ds := int(c.nodeShard[m.Dst])
+	d := c.getDelivery(ds)
+	d.m = *m
+	d.m.Arrive = arrive
+	q := c.shards[ds].Events
+	if c.cfg.Adaptive {
+		// Different layouts flush the same messages at different
+		// barriers, so same-instant delivery order must come from message
+		// content, not from barrier order.
+		q.SchedulePri(arrive, deliveryPri(m.Src, m.Seq), d.fire)
+	} else {
+		q.ScheduleBand(arrive, c.band[ds], sub, d.fire)
+	}
+}
+
+// deliverySub packs a message's canonical identity into the band tie-
+// break: source node, then per-source sequence.
+func deliverySub(src int, seq uint64) uint64 {
+	return uint64(src)<<40 | seq&(1<<40-1)
+}
+
+// deliveryPri is deliverySub with the high bit set, which puts
+// deliveries after pri-0 local events at the same instant.
 func deliveryPri(src int, seq uint64) uint64 {
-	return 1<<63 | uint64(src)<<40 | seq&(1<<40-1)
+	return 1<<63 | deliverySub(src, seq)
 }
 
 // Run drives the synchronizer until every shard is idle and every

@@ -103,3 +103,45 @@ func BenchmarkScheduleFuncBurst(b *testing.B) {
 		q.RunUntil(base + batch)
 	}
 }
+
+// holdQueue builds the hold model at depth pending events: every fired
+// event schedules its successor a pseudo-random 1..2048 ticks later, so
+// the queue stays at depth while step pops and pushes through the whole
+// heap. 1000 pending events is the per-shard depth of the 1000-node
+// scale world at one shard.
+func holdQueue(depth int) (step func()) {
+	q := NewEventQueueSize(depth)
+	x := uint64(0x9e3779b97f4a7c15)
+	var fire func(now Time)
+	fire = func(now Time) {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		q.ScheduleFunc(now+1+Time(x%2048), fire)
+	}
+	for i := 0; i < depth; i++ {
+		q.ScheduleFunc(Time(i*2), fire)
+	}
+	return func() { q.Step() }
+}
+
+// TestEventQueueStepZeroAlloc pins the hold model's steady state: a
+// Step that fires one event and schedules its successor allocates
+// nothing.
+func TestEventQueueStepZeroAlloc(t *testing.T) {
+	step := holdQueue(1000)
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Fatalf("Step at depth 1000: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkEventQueueStep is one Step of the hold model at 1000
+// pending events: a pop, a fire and a push.
+func BenchmarkEventQueueStep(b *testing.B) {
+	step := holdQueue(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

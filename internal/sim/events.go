@@ -1,11 +1,16 @@
 package sim
 
-import "container/heap"
-
 // Event is a deferred action scheduled on an EventQueue. Events model
 // asynchronous hardware activity — a DMA transfer chunk completing, a
 // network packet arriving — that must happen at a precise simulated time
 // regardless of what the CPU is doing.
+//
+// Events fire in order of the key (At, pri, seq, sub). seq is the
+// queue's scheduling counter, so equal-time events are FIFO; pri ranks
+// ahead of it for callers that order same-instant events by content
+// (SchedulePri); sub breaks ties among a band of events that share one
+// seq (ScheduleBand). The struct stays at 48 bytes — index and pooled
+// share a word — because every pending event of every world pays for it.
 type Event struct {
 	// At is the simulated time the event fires.
 	At Time
@@ -15,7 +20,8 @@ type Event struct {
 
 	seq    uint64 // tie-breaker: FIFO among events with equal At
 	pri    uint64 // ranks before seq; 0 except via SchedulePri
-	index  int    // heap bookkeeping; see the sentinels below
+	sub    uint64 // ranks after seq; 0 except via ScheduleBand
+	index  int32  // heap slot; see the sentinels below
 	pooled bool   // recycled through the queue's free list after firing
 }
 
@@ -23,23 +29,28 @@ type Event struct {
 // negative values record why it left the heap, so stale handles can
 // never alias a live slot.
 const (
-	idxFired     = -1 // popped by RunUntil/Drain (or mid-removal)
-	idxCancelled = -2 // removed by Cancel
+	idxFired     = -1 // popped by Step/RunUntil/Drain
+	idxCancelled = -2 // removed by Cancel or Reset
 )
 
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == idxCancelled }
 
 // EventQueue is a deterministic time-ordered queue of events. Events with
-// the same timestamp fire in the order they were scheduled, which keeps
-// whole-simulation behaviour reproducible.
+// the same timestamp fire in the order they were scheduled (unless
+// SchedulePri or ScheduleBand says otherwise), which keeps whole-
+// simulation behaviour reproducible.
+//
+// The queue is a 4-ary min-heap of *Event ordered by the Event key:
+// half the depth of a binary heap, and each sift-down step scans four
+// adjacent child slots.
 //
 // The queue does not own a clock; the machine drives it by calling
 // RunUntil with the clock's current time after every modelled cost.
 type EventQueue struct {
-	h    eventHeap
+	h    []*Event
 	seq  uint64
-	free []*Event // recycled ScheduleFunc events (no outstanding handles)
+	free []*Event // recycled pooled events (no outstanding handles)
 }
 
 // NewEventQueue returns an empty queue.
@@ -56,7 +67,7 @@ func NewEventQueueSize(hint int) *EventQueue {
 		return &EventQueue{}
 	}
 	return &EventQueue{
-		h:    make(eventHeap, 0, hint),
+		h:    make([]*Event, 0, hint),
 		free: make([]*Event, 0, hint),
 	}
 }
@@ -71,11 +82,9 @@ func (q *EventQueue) SnapshotSeq() uint64 { return q.seq }
 // Discarded pooled events return to the free list; outstanding handles
 // observe Cancelled.
 func (q *EventQueue) Reset(seq uint64) {
-	for _, e := range q.h {
+	for i, e := range q.h {
 		e.index = idxCancelled
 		q.release(e)
-	}
-	for i := range q.h {
 		q.h[i] = nil
 	}
 	q.h = q.h[:0]
@@ -90,7 +99,7 @@ func (q *EventQueue) Reset(seq uint64) {
 func (q *EventQueue) Schedule(at Time, fire func(now Time)) *Event {
 	q.seq++
 	e := &Event{At: at, Fire: fire, seq: q.seq}
-	heap.Push(&q.h, e)
+	q.push(e)
 	return e
 }
 
@@ -101,16 +110,7 @@ func (q *EventQueue) Schedule(at Time, fire func(now Time)) *Event {
 // and other fire-and-forget device activity.
 func (q *EventQueue) ScheduleFunc(at Time, fire func(now Time)) {
 	q.seq++
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		e = &Event{pooled: true}
-	}
-	e.At, e.Fire, e.seq, e.pri = at, fire, q.seq, 0
-	heap.Push(&q.h, e)
+	q.push(q.pooled(at, 0, q.seq, 0, fire))
 }
 
 // SchedulePri is ScheduleFunc with an explicit priority word: events
@@ -122,6 +122,30 @@ func (q *EventQueue) ScheduleFunc(at Time, fire func(now Time)) {
 // schedules at pri 0 and keeps plain FIFO.
 func (q *EventQueue) SchedulePri(at Time, pri uint64, fire func(now Time)) {
 	q.seq++
+	q.push(q.pooled(at, pri, q.seq, 0, fire))
+}
+
+// ScheduleBand is ScheduleFunc for a run of events that must occupy one
+// FIFO slot: every event of the run takes seq = band, and among equal-
+// time events of the run sub decides. The caller opens a run by taking
+// band = SnapshotSeq()+1 before its first call, so the run ranks after
+// everything already queued and before anything scheduled after it; the
+// counter still advances once per event, so no other event ever gets a
+// seq the run consumed and SnapshotSeq moves exactly as it would under
+// ScheduleFunc. sub must be unique within the band for the key to stay
+// total. The sharded engine's barrier flush uses this to order a
+// barrier's deliveries by content without sorting them.
+func (q *EventQueue) ScheduleBand(at Time, band, sub uint64, fire func(now Time)) {
+	q.seq++
+	if band > q.seq {
+		panic("sim: ScheduleBand band beyond the queue's sequence counter")
+	}
+	q.push(q.pooled(at, 0, band, sub, fire))
+}
+
+// pooled takes a recycled event (or allocates one that will be
+// recycled) and fills in its key and action.
+func (q *EventQueue) pooled(at Time, pri, seq, sub uint64, fire func(now Time)) *Event {
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e = q.free[n-1]
@@ -130,8 +154,8 @@ func (q *EventQueue) SchedulePri(at Time, pri uint64, fire func(now Time)) {
 	} else {
 		e = &Event{pooled: true}
 	}
-	e.At, e.Fire, e.seq, e.pri = at, fire, q.seq, pri
-	heap.Push(&q.h, e)
+	e.At, e.Fire, e.seq, e.pri, e.sub = at, fire, seq, pri, sub
+	return e
 }
 
 // release returns a pooled event to the free list. Called after the
@@ -150,10 +174,10 @@ func (q *EventQueue) release(e *Event) {
 // touching the heap, so a stale or foreign handle can never evict an
 // innocent event or corrupt heap order.
 func (q *EventQueue) Cancel(e *Event) {
-	if e == nil || e.index < 0 || e.index >= len(q.h) || q.h[e.index] != e {
+	if e == nil || e.index < 0 || int(e.index) >= len(q.h) || q.h[e.index] != e {
 		return
 	}
-	heap.Remove(&q.h, e.index)
+	q.remove(int(e.index))
 	e.index = idxCancelled
 }
 
@@ -178,7 +202,7 @@ func (q *EventQueue) Step() (Time, bool) {
 	if len(q.h) == 0 {
 		return Never, false
 	}
-	e := heap.Pop(&q.h).(*Event)
+	e := q.pop()
 	fire, at := e.Fire, e.At
 	q.release(e) // recycle before firing: fire may reschedule
 	fire(at)
@@ -190,7 +214,7 @@ func (q *EventQueue) Step() (Time, bool) {
 // they also fall at or before t.
 func (q *EventQueue) RunUntil(t Time) {
 	for len(q.h) > 0 && q.h[0].At <= t {
-		e := heap.Pop(&q.h).(*Event)
+		e := q.pop()
 		fire, at := e.Fire, e.At
 		q.release(e) // recycle before firing: fire may reschedule
 		fire(at)
@@ -203,7 +227,7 @@ func (q *EventQueue) RunUntil(t Time) {
 func (q *EventQueue) Drain(start Time) Time {
 	last := start
 	for len(q.h) > 0 {
-		e := heap.Pop(&q.h).(*Event)
+		e := q.pop()
 		fire, at := e.Fire, e.At
 		if at > last {
 			last = at
@@ -214,39 +238,100 @@ func (q *EventQueue) Drain(start Time) Time {
 	return last
 }
 
-// eventHeap implements heap.Interface ordered by (At, pri, seq).
-type eventHeap []*Event
+// less reports whether a fires before b.
+func less(a, b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	return a.sub < b.sub
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+// push appends e and sifts it up into place.
+func (q *EventQueue) push(e *Event) {
+	q.h = append(q.h, e)
+	q.up(len(q.h)-1, e)
+}
+
+// pop removes the earliest event and marks it fired. The heap must be
+// non-empty.
+func (q *EventQueue) pop() *Event {
+	h := q.h
+	e := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	q.h = h[:n]
+	if n > 0 {
+		q.down(0, last)
 	}
-	if h[i].pri != h[j].pri {
-		return h[i].pri < h[j].pri
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	// Mark the element as out-of-heap HERE, not in the callers: every
-	// removal path (RunUntil, Drain, heap.Remove via Cancel) funnels
-	// through this method, so no window exists in which a removed
-	// event still advertises a live-looking index.
 	e.index = idxFired
 	return e
+}
+
+// remove deletes the event in slot i; the caller marks it.
+func (q *EventQueue) remove(i int) {
+	h := q.h
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	q.h = h[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && less(last, h[(i-1)/4]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
+}
+
+// up places e, which belongs in slot i or above, by moving every parent
+// that fires after it one level down.
+func (q *EventQueue) up(i int, e *Event) {
+	h := q.h
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := h[p]
+		if !less(e, pe) {
+			break
+		}
+		h[i] = pe
+		pe.index = int32(i)
+		i = p
+	}
+	h[i] = e
+	e.index = int32(i)
+}
+
+// down places e, which belongs in slot i or below, by moving the
+// earliest child up one level while it fires before e.
+func (q *EventQueue) down(i int, e *Event) {
+	h := q.h
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, me := c, h[c]
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if less(h[j], me) {
+				m, me = j, h[j]
+			}
+		}
+		if !less(me, e) {
+			break
+		}
+		h[i] = me
+		me.index = int32(i)
+		i = m
+	}
+	h[i] = e
+	e.index = int32(i)
 }

@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"uldma/internal/sim"
@@ -83,7 +83,7 @@ func (s *Sample) Percentile(p float64) sim.Time {
 	sorted := s.sorted
 	if sorted == nil {
 		sorted = append([]sim.Time(nil), s.values...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		slices.Sort(sorted)
 		s.sorted = sorted
 	}
 	if p <= 0 {
