@@ -89,6 +89,9 @@ var goldenCases = []struct {
 	{"dmabench_breakeven.txt", "dmabench", []string{"-iters", "60", "-breakeven"}},
 	{"dmabench_trend.txt", "dmabench", []string{"-iters", "30", "-trend"}},
 	{"dmabench_all.json", "dmabench", []string{"-iters", "60", "-json", "-sweep", "-breakeven", "-trend", "-comparators", "-contention"}},
+	// The bus-transaction timeline of one initiation per Table 1 method:
+	// the exact uncached access stream each protocol puts on the wire.
+	{"dmabench_bustrace.txt", "dmabench", []string{"-iters", "5", "-trace"}},
 	// The descriptor-ring surfaces: batched-initiation depth sweep and
 	// register-context churn, text + JSON, plus the report's markdown
 	// rendering. Both are opt-in flags, so the pre-ring goldens above
