@@ -21,13 +21,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	userdma "uldma/internal/core"
 	"uldma/internal/exp"
 	"uldma/internal/obs"
+	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/stats"
-	"uldma/internal/trace"
 	"uldma/internal/vm"
 )
 
@@ -256,20 +257,27 @@ func runJSON(iters, procs int, sweep, comparators, breakeven, trend, contention,
 	return enc.Encode(doc)
 }
 
-// runTrace records and prints the wire-level view of one initiation per
-// Table 1 method: what the engine actually saw, in order, with window
-// annotations.
+// runTrace prints the wire-level view of one initiation per Table 1
+// method: every bus transaction the DMA call issued, in order, with the
+// engine window it decoded to.
 func runTrace() error {
 	for _, method := range userdma.AllMethods() {
 		m := userdma.Machine(method)
-		rec := trace.New(m.Clock, 64)
-		rec.AnnotateEngine(m.Engine.Config())
+		cfg := m.Engine.Config()
+		var out strings.Builder
+		record := func(op string, addr phys.Addr, _ phys.AccessSize, val uint64) {
+			win := cfg.WindowOf(addr)
+			if win == "" {
+				win = "-"
+			}
+			fmt.Fprintf(&out, "%-10v %-5s %-8s %v = %#x\n", m.Clock.Now(), op, win, addr, val)
+		}
 
 		var h *userdma.Handle
 		p := m.NewProcess("traced", func(c *proc.Context) error {
-			rec.AttachBus(m.Bus)
+			m.Bus.SetTrace(record)
 			_, err := h.DMA(c, 0x10000, 0x20000, 64)
-			rec.DetachBus(m.Bus)
+			m.Bus.SetTrace(nil)
 			return err
 		})
 		var err error
@@ -295,11 +303,10 @@ func runTrace() error {
 			return fmt.Errorf("%s: %w", method.Name(), p.Err())
 		}
 		fmt.Printf("%s — bus transactions of one DMA(src, dst, 64):\n", method.Name())
-		out := rec.Render()
-		if out == "" {
-			out = "  (no bus traffic: the initiation ran inside the kernel/PAL call below)\n"
+		if out.Len() == 0 {
+			out.WriteString("  (no bus traffic: the initiation ran inside the kernel/PAL call below)\n")
 		}
-		fmt.Print(out)
+		fmt.Print(out.String())
 		fmt.Println()
 	}
 	return nil

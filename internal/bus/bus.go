@@ -179,16 +179,15 @@ func (b *Bus) RegisterMetrics(r *obs.Registry) {
 // SetTracer attaches (or, with nil, detaches) the obs trace spine.
 // Every successful transaction is emitted as a CatBus instant, and
 // every DMA bus-mastering window as a CatDMA span, stamped with node.
-// Independent of the legacy SetTrace hook, which tests and the
-// internal/trace adapter keep using.
+// Independent of the SetTrace hook.
 func (b *Bus) SetTracer(t *obs.Trace, node int32) {
 	b.tr = t
 	b.node = node
 }
 
 // SetTrace installs a hook called for every transaction (nil to disable).
-// Used by the trace tooling and by protocol-level tests that assert on
-// the exact access stream a method generates.
+// dmabench -trace renders its bus timeline from this hook, and tests use
+// it to assert on the exact access stream a method generates.
 func (b *Bus) SetTrace(fn func(op string, addr phys.Addr, size phys.AccessSize, val uint64)) {
 	b.trace = fn
 }

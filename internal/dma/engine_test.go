@@ -1037,6 +1037,10 @@ func TestWindowBoundaries(t *testing.T) {
 		{"ctx", cfg.CtxPageBase, cfg.CtxWindowSize()},
 		{"control", cfg.ControlBase, cfg.PageSize},
 		{"atomic", cfg.AtomicBase, cfg.AtomicWindowSize()},
+		{"remote", cfg.RemoteBase, cfg.RemoteWindowSize()},
+	}
+	if got := cfg.WindowOf(0x1000); got != "" {
+		t.Errorf("plain memory classified %q", got)
 	}
 	for _, c := range cases {
 		if got := cfg.WindowOf(c.base); got != c.name {

@@ -5,7 +5,7 @@
 // Before obs, the model had five generations of ad-hoc telemetry —
 // phys access statistics, bus cycle counters, the DMA engine's
 // transfer tallies, per-process CPU accounting, net.Fabric.Stats()
-// and the standalone internal/trace bus recorder — each with its own
+// and a standalone bus recorder — each with its own
 // struct shape and its own snapshot story, and no way to correlate
 // events across layers. obs replaces the *storage* behind those
 // structs with typed Counter/Gauge cells registered in a Registry
