@@ -189,21 +189,12 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 	var doc scaleJSON
 	if p.Protocol != "" {
 		doc.ScaleMachine = exp.ScaleMachineRows(r)
-		if bench {
-			rows, err := benchScaleMachine(p)
-			if err != nil {
-				return err
-			}
-			doc.BenchMachine = rows
-		}
 	} else {
 		doc.Scale = exp.ScaleRows(r)
-		if bench {
-			rows, err := benchScale(p)
-			if err != nil {
-				return err
-			}
-			doc.Bench = rows
+	}
+	if bench {
+		if doc.Bench, doc.BenchMachine, err = benchLadder(p); err != nil {
+			return err
 		}
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -211,48 +202,21 @@ func runScale(p exp.Params, jsonOut, bench bool) error {
 	return enc.Encode(doc)
 }
 
-// benchScale times the SAME world at shards {1,4,8} (skipping counts
-// above -nodes) with workers = shard count, and stamps each row with
-// this host's wall time and events/sec. The simulated results are
-// byte-identical across the ladder — only the Host* fields vary, and
-// they vary with the machine: events/sec scales with shard count only
-// up to the host's core count (HostCPUs records it).
-func benchScale(p exp.Params) ([]exp.ScaleRow, error) {
-	var rows []exp.ScaleRow
-	for _, shards := range []int{1, 4, 8} {
-		if shards > p.Nodes {
-			continue
+// benchLadder times the SAME world at shards {1,4,8} (skipping counts
+// above -nodes) with workers = shard count — the flat world, or with
+// -protocol one pass per selected protocol — and stamps each row with
+// this host's wall time and events/sec. The simulated columns are
+// byte-identical down each ladder; only the Host* fields vary, and they
+// vary with the machine: events/sec scales with shard count only up to
+// the host's core count (HostCPUs records it).
+func benchLadder(p exp.Params) (flat []exp.ScaleRow, hosted []exp.ScaleMachineRow, err error) {
+	protocols := []string{""} // "" is the flat world
+	if p.Protocol != "" {
+		if protocols, err = exp.ScaleProtocolNames(p.Protocol); err != nil {
+			return nil, nil, err
 		}
-		bp := p
-		bp.Shards = shards
-		start := time.Now()
-		pt, err := exp.RunScale(bp, shards)
-		if err != nil {
-			return nil, err
-		}
-		wall := time.Since(start)
-		row := exp.ScaleRowOf(pt)
-		row.HostNs = wall.Nanoseconds()
-		if wall > 0 {
-			row.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
-		}
-		row.HostCPUs = runtime.NumCPU()
-		rows = append(rows, row)
 	}
-	return rows, nil
-}
-
-// benchScaleMachine is benchScale for the hosted-machine worlds: the
-// same shard ladder, one pass per selected protocol. The simulated
-// columns are byte-identical down each protocol's ladder; only the
-// Host* stamps vary with the machine.
-func benchScaleMachine(p exp.Params) ([]exp.ScaleMachineRow, error) {
-	names, err := exp.ScaleProtocolNames(p.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	var rows []exp.ScaleMachineRow
-	for _, name := range names {
+	for _, name := range protocols {
 		for _, shards := range []int{1, 4, 8} {
 			if shards > p.Nodes {
 				continue
@@ -260,19 +224,30 @@ func benchScaleMachine(p exp.Params) ([]exp.ScaleMachineRow, error) {
 			bp := p
 			bp.Shards = shards
 			start := time.Now()
-			pt, err := exp.RunScaleMachineNamed(name, bp, shards)
+			var pt exp.ScaleMachinePoint
+			if name == "" {
+				pt.ScalePoint, err = exp.RunScale(bp, shards)
+			} else {
+				pt, err = exp.RunScaleMachineNamed(name, bp, shards)
+			}
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			wall := time.Since(start)
-			row := exp.ScaleMachineRowOf(pt)
-			row.HostNs = wall.Nanoseconds()
+			var eps float64
 			if wall > 0 {
-				row.HostEventsPerSec = float64(pt.Events) / wall.Seconds()
+				eps = float64(pt.Events) / wall.Seconds()
 			}
-			row.HostCPUs = runtime.NumCPU()
-			rows = append(rows, row)
+			if name == "" {
+				row := exp.ScaleRowOf(pt.ScalePoint)
+				row.HostNs, row.HostEventsPerSec, row.HostCPUs = wall.Nanoseconds(), eps, runtime.NumCPU()
+				flat = append(flat, row)
+			} else {
+				row := exp.ScaleMachineRowOf(pt)
+				row.HostNs, row.HostEventsPerSec, row.HostCPUs = wall.Nanoseconds(), eps, runtime.NumCPU()
+				hosted = append(hosted, row)
+			}
 		}
 	}
-	return rows, nil
+	return flat, hosted, nil
 }

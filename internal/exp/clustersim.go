@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	userdma "uldma/internal/core"
@@ -31,14 +32,42 @@ func init() {
 	})
 }
 
+// scaleProtocol is one entry of the NOW comparison line-up: a method
+// and its short name — the -protocol flag spelling and the stable
+// identifier scalemachine points, JSON rows and bench labels carry
+// (display names have spaces and punctuation).
+type scaleProtocol struct {
+	name   string
+	method userdma.Method
+}
+
+// scaleProtocols is the NOW comparison line-up, in run order.
+var scaleProtocols = []scaleProtocol{
+	{"kernel", userdma.KernelLevel{}},
+	{"extshadow", userdma.ExtShadow{}},
+	{"keybased", userdma.KeyBased{}},
+	{"repeated", userdma.RepeatedPassing{Len: 5, Barriers: true}},
+}
+
 // ClusterMethods is the NOW comparison's method axis.
 func ClusterMethods() []userdma.Method {
-	return []userdma.Method{
-		userdma.KernelLevel{},
-		userdma.ExtShadow{},
-		userdma.KeyBased{},
-		userdma.RepeatedPassing{Len: 5, Barriers: true},
+	ms := make([]userdma.Method, len(scaleProtocols))
+	for i, sp := range scaleProtocols {
+		ms[i] = sp.method
 	}
+	return ms
+}
+
+// protocolName maps a method to its line-up short name by type (any
+// RepeatedPassing variant is "repeated"), falling back to the display
+// name for methods outside the line-up.
+func protocolName(m userdma.Method) string {
+	for _, sp := range scaleProtocols {
+		if reflect.TypeOf(sp.method) == reflect.TypeOf(m) {
+			return sp.name
+		}
+	}
+	return m.Name()
 }
 
 // clusterLink resolves the link preset the params select.

@@ -39,7 +39,6 @@ import (
 	"uldma/internal/dma"
 	"uldma/internal/machine"
 	"uldma/internal/net"
-	"uldma/internal/par"
 	"uldma/internal/phys"
 	"uldma/internal/proc"
 	"uldma/internal/sim"
@@ -226,39 +225,17 @@ func scaleMTemplateFor(method userdma.Method, nodes int) (*scaleMTemplate, error
 	return t, nil
 }
 
-// scaleMWorld is the hosted-machine traffic model. Per-node slices
-// follow the node-local rule; err latches the first event-side failure
-// (checked after Run — event handlers cannot return errors).
-type scaleMWorld struct {
-	c     *net.ShardedCluster
-	hm    *net.HostedMachines
-	h     *userdma.Handle
-	p     *proc.Process
-	nodes int
-
+// hostedNode is the hosted-machine node model: one full shard-hosted
+// machine per node, all cloned from one template, so every node runs
+// the same process with the same address map.
+type hostedNode struct {
+	hm       *net.HostedMachines
+	h        *userdma.Handle
+	p        *proc.Process
 	protocol string
-	arrival  int
-	tenants  int
-	dur      sim.Time
-
-	interval sim.Time
-	end      sim.Time // arrival window close (boot + dur)
-	boot     sim.Time
 	bytes    uint64
 	reqPA    phys.Addr
 	respPA   phys.Addr
-
-	issueAt   [][]sim.Time
-	lats      [][]sim.Time
-	issued    []uint64
-	completed []uint64
-	err       error
-}
-
-func (w *scaleMWorld) fail(err error) {
-	if w.err == nil {
-		w.err = err
-	}
 }
 
 // scaleMPort is one node's fabric attachment: the engine's remote ships
@@ -266,7 +243,7 @@ func (w *scaleMWorld) fail(err error) {
 // and the payload's first eight bytes carry the RPC tag — the tag rides
 // the actual DMA payload through the engine's acceptance-time snapshot.
 type scaleMPort struct {
-	w    *scaleMWorld
+	c    *net.ShardedCluster
 	node int
 }
 
@@ -284,59 +261,44 @@ func (pt *scaleMPort) Deliver(node int, addr phys.Addr, data []byte, at sim.Time
 	if len(data) < 8 {
 		return fmt.Errorf("exp: scalemachine ship of %d bytes cannot carry the RPC tag", len(data))
 	}
-	pt.w.c.Send(pt.node, node, kind, uint64(len(data)), binary.LittleEndian.Uint64(data[:8]), at)
+	pt.c.Send(pt.node, node, kind, uint64(len(data)), binary.LittleEndian.Uint64(data[:8]), at)
 	return nil
 }
 
 // scaleMachineParams resolves the shared scale knobs, then applies the
 // machine world's own bounds.
-func scaleMachineParams(p Params) (nodes, shards, arrival, tenants int, bytes uint64, dur sim.Time, seed uint64, err error) {
-	nodes, shards, arrival, tenants, bytes, dur, seed, err = scaleParams(p)
+func scaleMachineParams(p Params) (rpcConfig, error) {
+	cfg, err := scaleParams(p)
 	if err != nil {
-		return
+		return cfg, err
 	}
-	switch {
-	case nodes > scaleMMaxNodes:
-		err = fmt.Errorf("exp: scalemachine supports at most %d nodes (16 KiB remote window per node), got %d", scaleMMaxNodes, nodes)
-	case bytes < 8:
-		err = fmt.Errorf("exp: scalemachine requests must carry the 8-byte RPC tag, got %d bytes", bytes)
-	case bytes > scaleMPage:
-		err = fmt.Errorf("exp: scalemachine requests must fit one %d-byte page, got %d bytes", scaleMPage, bytes)
+	if err := ValidScaleMachineWorld(cfg.nodes, cfg.bytes); err != nil {
+		return cfg, fmt.Errorf("exp: scalemachine: %w", err)
 	}
-	return
+	return cfg, nil
 }
 
-// scaleMMethod resolves a protocol name to its method. Names are the
-// short forms the clustersim -protocol flag takes.
-func scaleMMethod(name string) (userdma.Method, error) {
-	switch name {
-	case "kernel":
-		return userdma.KernelLevel{}, nil
-	case "extshadow":
-		return userdma.ExtShadow{}, nil
-	case "keybased":
-		return userdma.KeyBased{}, nil
-	case "repeated":
-		return userdma.RepeatedPassing{Len: 5, Barriers: true}, nil
+// protocolNamed resolves a -protocol short name to its line-up entry.
+func protocolNamed(name string) (scaleProtocol, error) {
+	for _, sp := range scaleProtocols {
+		if sp.name == name {
+			return sp, nil
+		}
 	}
-	return nil, fmt.Errorf("exp: unknown protocol %q (kernel, extshadow, keybased, repeated, all)", name)
+	return scaleProtocol{}, fmt.Errorf("exp: unknown protocol %q (kernel, extshadow, keybased, repeated, all)", name)
 }
 
-// scaleMShort maps a method back to its -protocol flag spelling — the
-// stable identifier the point, the JSON rows and the bench labels all
-// carry (display names have spaces and punctuation).
-func scaleMShort(m userdma.Method) string {
-	switch m.(type) {
-	case userdma.KernelLevel:
-		return "kernel"
-	case userdma.ExtShadow:
-		return "extshadow"
-	case userdma.KeyBased:
-		return "keybased"
-	case userdma.RepeatedPassing:
-		return "repeated"
+// protocolsFor expands a -protocol selector: "" and "all" select the
+// whole line-up, anything else must name one protocol.
+func protocolsFor(selector string) ([]scaleProtocol, error) {
+	if selector == "" || selector == "all" {
+		return scaleProtocols, nil
 	}
-	return m.Name()
+	sp, err := protocolNamed(selector)
+	if err != nil {
+		return nil, err
+	}
+	return []scaleProtocol{sp}, nil
 }
 
 // ValidProtocol rejects -protocol flag values the scalemachine
@@ -344,7 +306,7 @@ func scaleMShort(m userdma.Method) string {
 // the tools call it for flag-level exit-2 messages before any world
 // is built.
 func ValidProtocol(name string) error {
-	_, err := scaleMProtocols(name)
+	_, err := protocolsFor(name)
 	return err
 }
 
@@ -352,7 +314,7 @@ func ValidProtocol(name string) error {
 // bounds — the node ceiling imposed by the 16 KiB per-node remote
 // window and the request-size band (must carry the 8-byte RPC tag,
 // must fit one landing page) — so the tools can exit 2 before any
-// template is built. scaleMachineParams re-checks underneath.
+// template is built. scaleMachineParams applies the same bounds.
 func ValidScaleMachineWorld(nodes int, bytes uint64) error {
 	switch {
 	case nodes > scaleMMaxNodes:
@@ -365,30 +327,17 @@ func ValidScaleMachineWorld(nodes int, bytes uint64) error {
 	return nil
 }
 
-// scaleMProtocols expands a protocol selector into the method list:
-// ""/"all" is the NOW comparison line-up, anything else a single name.
-func scaleMProtocols(name string) ([]userdma.Method, error) {
-	if name == "" || name == "all" {
-		return ClusterMethods(), nil
-	}
-	m, err := scaleMMethod(name)
-	if err != nil {
-		return nil, err
-	}
-	return []userdma.Method{m}, nil
-}
-
 // ScaleProtocolNames expands a -protocol selector into the short names
 // it runs ("" / "all" → the full line-up) — what the tools iterate for
 // per-protocol bench ladders.
 func ScaleProtocolNames(selector string) ([]string, error) {
-	ms, err := scaleMProtocols(selector)
+	sps, err := protocolsFor(selector)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = scaleMShort(m)
+	names := make([]string, len(sps))
+	for i, sp := range sps {
+		names[i] = sp.name
 	}
 	return names, nil
 }
@@ -396,332 +345,173 @@ func ScaleProtocolNames(selector string) ([]string, error) {
 // RunScaleMachineNamed resolves one protocol short name and runs its
 // hosted-machine world — the tools' per-protocol entry point.
 func RunScaleMachineNamed(protocol string, p Params, workers int) (ScaleMachinePoint, error) {
-	method, err := scaleMMethod(protocol)
+	sp, err := protocolNamed(protocol)
 	if err != nil {
 		return ScaleMachinePoint{}, err
 	}
-	return RunScaleMachine(method, p, workers)
+	return RunScaleMachine(sp.method, p, workers)
 }
 
 // RunScaleMachine builds one hosted-machine world for the method under
 // p and runs it with the given intra-world worker count. Like RunScale,
 // the result is byte-identical at every shards/workers combination.
 func RunScaleMachine(method userdma.Method, p Params, workers int) (ScaleMachinePoint, error) {
-	w, err := newScaleMachineWorld(method, p)
+	g, hn, err := newScaleMachineWorld(method, p)
 	if err != nil {
 		return ScaleMachinePoint{}, err
 	}
-	w.prime()
-	return w.run(workers)
+	g.prime()
+	if err := g.run(workers); err != nil {
+		return ScaleMachinePoint{}, err
+	}
+	return hn.observe(g), nil
 }
 
 // newScaleMachineWorld assembles the full hosted fleet — template,
-// clones, ports, state hook, deliver hook — but does not prime arrivals
-// or run; the split is what lets the snapshot tests capture the
-// quiescent pre-traffic world through the cluster's own machinery.
-func newScaleMachineWorld(method userdma.Method, p Params) (*scaleMWorld, error) {
-	nodes, shards, arrival, tenants, bytes, dur, seed, err := scaleMachineParams(p)
+// clones, ports, state hook — behind the generator but does not prime
+// arrivals or run; the split is what lets tests capture the quiescent
+// pre-traffic world, or attach a fault plane, through the cluster's
+// own machinery. Clones carry template-era substrate timestamps, so
+// the generator's boot is the template's snapshot time.
+func newScaleMachineWorld(method userdma.Method, p Params) (*rpcGen, *hostedNode, error) {
+	cfg, err := scaleMachineParams(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tpl, err := scaleMTemplateFor(method, nodes)
+	tpl, err := scaleMTemplateFor(method, cfg.nodes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	base := net.Gigabit()
-	c, err := net.NewShardedCluster(net.ShardedConfig{
-		Nodes:     nodes,
-		Shards:    shards,
-		Link:      base,
-		Seed:      seed,
-		QueueHint: 4 * nodes / shards,
-		// Rack topology: racks of scaleMRackSize nodes, cross-rack
-		// wires 3x the base latency. A pure function of the node ids,
-		// so identical under every shard layout.
-		Latency: func(src, dst int) sim.Time {
-			if src/scaleMRackSize == dst/scaleMRackSize {
-				return base.Latency
-			}
-			return scaleMRackCross * base.Latency
-		},
+	// Rack topology: racks of scaleMRackSize nodes, cross-rack wires 3x
+	// the base latency. A pure function of the node ids, so identical
+	// under every shard layout.
+	base := net.Gigabit().Latency
+	g, err := newRPCGen(cfg, tpl.boot, func(src, dst int) sim.Time {
+		if src/scaleMRackSize == dst/scaleMRackSize {
+			return base
+		}
+		return scaleMRackCross * base
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fleet := make([]*machine.Machine, nodes)
+	fleet := make([]*machine.Machine, cfg.nodes)
 	for n := range fleet {
-		clock, events := c.NodeEnv(n)
+		clock, events := g.c.NodeEnv(n)
 		mm, err := machine.NewFromSnapshotHosted(tpl.snap, clock, events)
 		if err != nil {
-			return nil, fmt.Errorf("exp: scalemachine node %d: %w", n, err)
+			return nil, nil, fmt.Errorf("exp: scalemachine node %d: %w", n, err)
 		}
+		mm.Engine.SetRemoteHandler(&scaleMPort{c: g.c, node: n})
 		fleet[n] = mm
 	}
-	w := &scaleMWorld{
-		c:        c,
+	hm, err := net.NewHostedMachines(g.c, fleet)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Chain the generator's RPC bookkeeping behind the fleet snapshot.
+	hm.Inner = g
+	hn := &hostedNode{
+		hm:       hm,
 		h:        tpl.h,
 		p:        tpl.p,
-		nodes:    nodes,
-		protocol: scaleMShort(method),
-		arrival:  arrival,
-		tenants:  tenants,
-		dur:      dur,
-		// Per-tenant mean inter-arrival, integer picoseconds (same
-		// arithmetic as the flat scale world).
-		interval:  sim.Time(uint64(sim.Second) * uint64(tenants) / uint64(arrival)),
-		boot:      tpl.boot,
-		end:       tpl.boot + dur,
-		bytes:     bytes,
-		reqPA:     tpl.reqPA,
-		respPA:    tpl.respPA,
-		issueAt:   make([][]sim.Time, nodes),
-		lats:      make([][]sim.Time, nodes),
-		issued:    make([]uint64, nodes),
-		completed: make([]uint64, nodes),
+		protocol: protocolName(method),
+		bytes:    cfg.bytes,
+		reqPA:    tpl.reqPA,
+		respPA:   tpl.respPA,
 	}
-	if w.interval <= 0 {
-		return nil, fmt.Errorf("exp: scalemachine arrival rate %d/node too high for %d tenants (zero inter-arrival)", arrival, tenants)
-	}
-	for n, mm := range fleet {
-		mm.Engine.SetRemoteHandler(&scaleMPort{w: w, node: n})
-	}
-	hm, err := net.NewHostedMachines(c, fleet)
-	if err != nil {
-		return nil, err
-	}
-	w.hm = hm
-	// Chain the world's RPC bookkeeping behind the fleet snapshot: a
-	// cluster Snapshot/Restore must rewind issue times and latency
-	// samples with the machines, or a restored world double-counts.
-	hm.Inner = w
-	c.SetDeliver(w.deliver)
-	return w, nil
-}
-
-// scaleMState is the world's own snapshot payload (chained through
-// HostedMachines.Inner).
-type scaleMState struct {
-	issueAt   [][]sim.Time
-	lats      [][]sim.Time
-	issued    []uint64
-	completed []uint64
-	err       error
-}
-
-// SnapshotState implements net.ShardState.
-func (w *scaleMWorld) SnapshotState() any {
-	st := &scaleMState{
-		issueAt:   make([][]sim.Time, w.nodes),
-		lats:      make([][]sim.Time, w.nodes),
-		issued:    append([]uint64(nil), w.issued...),
-		completed: append([]uint64(nil), w.completed...),
-		err:       w.err,
-	}
-	for n := 0; n < w.nodes; n++ {
-		st.issueAt[n] = append([]sim.Time(nil), w.issueAt[n]...)
-		st.lats[n] = append([]sim.Time(nil), w.lats[n]...)
-	}
-	return st
-}
-
-// RestoreState implements net.ShardState.
-func (w *scaleMWorld) RestoreState(state any) error {
-	st, ok := state.(*scaleMState)
-	if !ok {
-		return fmt.Errorf("exp: scalemachine world: foreign snapshot payload %T", state)
-	}
-	if len(st.issued) != w.nodes {
-		return fmt.Errorf("exp: scalemachine world: snapshot of %d nodes onto %d", len(st.issued), w.nodes)
-	}
-	for n := 0; n < w.nodes; n++ {
-		w.issueAt[n] = append(w.issueAt[n][:0], st.issueAt[n]...)
-		w.lats[n] = append(w.lats[n][:0], st.lats[n]...)
-	}
-	copy(w.issued, st.issued)
-	copy(w.completed, st.completed)
-	w.err = st.err
-	return nil
-}
-
-// prime schedules every tenant stream's first arrival past boot: clone
-// substrates carry template-era timestamps, so no machine runs before
-// the snapshot time. Draw order is fixed (node, tenant),
-// layout-invariant.
-func (w *scaleMWorld) prime() {
-	for n := 0; n < w.nodes; n++ {
-		for t := 0; t < w.tenants; t++ {
-			w.scheduleArrival(n, w.jitter(n, w.boot))
-		}
-	}
-}
-
-// run drives the primed world to completion and folds the observation.
-func (w *scaleMWorld) run(workers int) (ScaleMachinePoint, error) {
-	if err := w.c.Run(par.Workers(workers), scaleMaxWindows); err != nil {
-		return ScaleMachinePoint{}, err
-	}
-	if w.err != nil {
-		return ScaleMachinePoint{}, w.err
-	}
-	return w.observe(), nil
-}
-
-func (w *scaleMWorld) jitter(n int, now sim.Time) sim.Time {
-	return now + w.interval/2 + sim.Time(w.c.Rand(n).Uint64()%uint64(w.interval))
-}
-
-func (w *scaleMWorld) scheduleArrival(n int, at sim.Time) {
-	w.c.At(n, at, func(now sim.Time) { w.arrive(n, now) })
+	g.node = hn
+	return g, hn, nil
 }
 
 // tag writes the RPC tag into the first word of a payload frame — the
 // application-level "produce the message" step (free, like the flat
 // model's payload; the DMA that moves it pays full price).
-func (w *scaleMWorld) tag(m *machine.Machine, pa phys.Addr, seq uint64) error {
+func tag(m *machine.Machine, pa phys.Addr, seq uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], seq)
 	return m.Mem.WriteBytes(pa, b[:])
 }
 
-// leaveEngine closes a machine-driving event: record the CPU high-water
-// mark, then serialize the node behind its engine's last transfer End
-// (the engine and payload buffers are a serial per-node resource).
-func (w *scaleMWorld) leaveEngine(n int, m *machine.Machine) {
-	w.hm.Leave(n)
-	if t := m.Engine.LastTransfer(); t != nil {
-		w.hm.Bump(n, t.End)
-	}
-}
-
-// arrive is one RPC arrival on node n: keep the stream alive, pick a
-// uniform remote peer, then run the protocol's REAL initiation sequence
-// on the node's CPU. The engine ships the payload to the fabric at its
-// computed End.
-func (w *scaleMWorld) arrive(n int, now sim.Time) {
-	rng := w.c.Rand(n)
-	if next := w.jitter(n, now); next < w.end {
-		w.scheduleArrival(n, next)
-	}
-	if w.err != nil {
-		return
-	}
-	dst := rng.Intn(w.nodes - 1)
-	if dst >= n {
-		dst++ // uniform over the other nodes, never self
-	}
-	seq := uint64(len(w.issueAt[n]))
-	w.issueAt[n] = append(w.issueAt[n], now)
-	w.issued[n]++
-	m := w.hm.Machine(n)
-	w.hm.Floor(n, now)
-	if err := w.tag(m, w.reqPA, seq); err != nil {
-		w.fail(err)
-		return
-	}
-	st, err := w.h.DirectDMA(&userdma.DirectCPU{M: m, P: w.p}, scaleMReqVA, scaleMPeerVA(dst), w.bytes)
+// initiate runs the protocol's REAL initiation sequence on node n's
+// CPU; the engine ships the payload to the fabric at its computed End.
+// It then records the CPU high-water mark and serializes the node
+// behind that transfer (the engine and payload buffers are a serial
+// per-node resource). what and id name the RPC on the error path only.
+func (hn *hostedNode) initiate(n int, m *machine.Machine, src, dst vm.VAddr, bytes uint64, what string, id uint64) error {
+	st, err := hn.h.DirectDMA(&userdma.DirectCPU{M: m, P: hn.p}, src, dst, bytes)
 	if err != nil {
-		w.fail(fmt.Errorf("exp: scalemachine node %d request %d: %w", n, seq, err))
+		err = fmt.Errorf("exp: scalemachine node %d %s %d: %w", n, what, id, err)
 	} else if st == dma.StatusFailure {
-		w.fail(fmt.Errorf("exp: scalemachine node %d request %d refused", n, seq))
+		err = fmt.Errorf("exp: scalemachine node %d %s %d refused", n, what, id)
 	}
-	w.leaveEngine(n, m)
+	hn.hm.Leave(n)
+	if t := m.Engine.LastTransfer(); t != nil {
+		hn.hm.Bump(n, t.End)
+	}
+	return err
 }
 
-// deliver is the fabric receive hook. A request lands in the server's
-// memory, is validated by a real CPU load, and turns around a response
-// through the server's own engine; a response lands, is read, and
-// closes the latency sample.
-func (w *scaleMWorld) deliver(m net.SMsg, now sim.Time) {
-	if w.err != nil {
-		return
+// request tags the client's payload frame and DMAs it to the server's
+// request landing page.
+func (hn *hostedNode) request(n, dst int, seq uint64, now sim.Time) error {
+	m := hn.hm.Machine(n)
+	hn.hm.Floor(n, now)
+	if err := tag(m, hn.reqPA, seq); err != nil {
+		return err
 	}
-	d := m.Dst
-	mm := w.hm.Machine(d)
-	switch m.Kind {
-	case scaleKindReq:
-		w.hm.Floor(d, now)
-		// The fabric lands the payload tag at the request landing page
-		// (net.Fabric semantics: fabric address = destination physical
-		// address), then the server validates it with a real load and
-		// initiates the response DMA back to the client's response
-		// landing page.
-		if err := w.tag(mm, scaleMReqOff, m.Arg); err != nil {
-			w.fail(err)
-			return
-		}
-		if _, err := mm.CPU.Load(w.p.AddressSpace(), scaleMLandReqVA, phys.Size64); err != nil {
-			w.fail(err)
-			return
-		}
-		mm.CPU.Spin(scaleMSrvCycles)
-		if err := w.tag(mm, w.respPA, m.Arg); err != nil {
-			w.fail(err)
-			return
-		}
-		st, err := w.h.DirectDMA(&userdma.DirectCPU{M: mm, P: w.p}, scaleMRespVA, scaleMPeerVA(m.Src)+scaleMPage, scaleMRespBytes)
-		if err != nil {
-			w.fail(fmt.Errorf("exp: scalemachine node %d response to %d: %w", d, m.Src, err))
-		} else if st == dma.StatusFailure {
-			w.fail(fmt.Errorf("exp: scalemachine node %d response to %d refused", d, m.Src))
-		}
-		w.leaveEngine(d, mm)
-	case scaleKindResp:
-		w.lats[d] = append(w.lats[d], now-w.issueAt[d][m.Arg])
-		w.completed[d]++
-		w.hm.Floor(d, now)
-		if err := w.tag(mm, scaleMRespOff, m.Arg); err != nil {
-			w.fail(err)
-			return
-		}
-		// The client's completion read.
-		if _, err := mm.CPU.Load(w.p.AddressSpace(), scaleMLandRespVA, phys.Size64); err != nil {
-			w.fail(err)
-			return
-		}
-		w.hm.Leave(d)
-	}
+	return hn.initiate(n, m, scaleMReqVA, scaleMPeerVA(dst), hn.bytes, "request", seq)
 }
 
-// observe folds the finished world into a ScaleMachinePoint, node order
-// throughout so the fold is layout-invariant.
-func (w *scaleMWorld) observe() ScaleMachinePoint {
-	var sample stats.Sample
-	var issued, completed uint64
-	for n := 0; n < w.nodes; n++ {
-		issued += w.issued[n]
-		completed += w.completed[n]
-		for _, l := range w.lats[n] {
-			sample.Add(l)
-		}
+// serve lands the request tag at the request landing page (fabric
+// address = destination physical address, as in net.Fabric), validates
+// it with a real CPU load, and initiates the response DMA back to the
+// client's response landing page.
+func (hn *hostedNode) serve(req net.SMsg, now sim.Time) error {
+	d := req.Dst
+	m := hn.hm.Machine(d)
+	hn.hm.Floor(d, now)
+	if err := tag(m, scaleMReqOff, req.Arg); err != nil {
+		return err
 	}
-	t := w.c.Totals()
-	latMin, latMax := w.c.LatencyBounds()
+	if _, err := m.CPU.Load(hn.p.AddressSpace(), scaleMLandReqVA, phys.Size64); err != nil {
+		return err
+	}
+	m.CPU.Spin(scaleMSrvCycles)
+	if err := tag(m, hn.respPA, req.Arg); err != nil {
+		return err
+	}
+	return hn.initiate(d, m, scaleMRespVA, scaleMPeerVA(req.Src)+scaleMPage, scaleMRespBytes, "response to", uint64(req.Src))
+}
+
+// complete lands the response tag and performs the client's completion
+// read.
+func (hn *hostedNode) complete(resp net.SMsg, now sim.Time) error {
+	d := resp.Dst
+	m := hn.hm.Machine(d)
+	hn.hm.Floor(d, now)
+	if err := tag(m, scaleMRespOff, resp.Arg); err != nil {
+		return err
+	}
+	if _, err := m.CPU.Load(hn.p.AddressSpace(), scaleMLandRespVA, phys.Size64); err != nil {
+		return err
+	}
+	hn.hm.Leave(d)
+	return nil
+}
+
+// observe folds the finished world into a ScaleMachinePoint: the
+// generator's ScalePoint plus the fleet's engine totals and machine
+// digest, node order throughout so the fold is layout-invariant.
+func (hn *hostedNode) observe(g *rpcGen) ScaleMachinePoint {
+	latMin, latMax := g.c.LatencyBounds()
 	pt := ScaleMachinePoint{
-		ScalePoint: ScalePoint{
-			Nodes:   w.nodes,
-			Shards:  w.c.Config().Shards,
-			Arrival: w.arrival,
-			Tenants: w.tenants,
-			Bytes:   w.bytes,
-			Dur:     w.dur,
-
-			Issued:    issued,
-			Completed: completed,
-			Mean:      sample.Mean(),
-			P50:       sample.Percentile(50),
-			P99:       sample.Percentile(99),
-
-			Deliveries:  t.Delivered,
-			Events:      t.Events,
-			Windows:     t.Windows,
-			Finish:      t.Finish,
-			Fingerprint: w.c.Fingerprint(),
-		},
-		Protocol:  w.protocol,
-		Boot:      w.boot,
-		Lookahead: w.c.Lookahead(),
-		LatMin:    latMin,
-		LatMax:    latMax,
+		ScalePoint: g.observe(),
+		Protocol:   hn.protocol,
+		Boot:       g.boot,
+		Lookahead:  g.c.Lookahead(),
+		LatMin:     latMin,
+		LatMax:     latMax,
 	}
 	// Machine digest: FNV-1a over every node's engine counters and CPU
 	// high-water mark, in node order.
@@ -730,8 +520,8 @@ func (w *scaleMWorld) observe() ScaleMachinePoint {
 		digest ^= v
 		digest *= 1099511628211
 	}
-	for n := 0; n < w.nodes; n++ {
-		st := w.hm.Machine(n).Engine.Stats()
+	for n := 0; n < g.nodes; n++ {
+		st := hn.hm.Machine(n).Engine.Stats()
 		mix(st.ShadowStores)
 		mix(st.ShadowLoads)
 		mix(st.KeyMismatches)
@@ -743,18 +533,13 @@ func (w *scaleMWorld) observe() ScaleMachinePoint {
 		mix(st.AtomicOps)
 		mix(st.RemoteStarted)
 		mix(st.AbortedPending)
-		mix(uint64(w.hm.Busy(n)))
+		mix(uint64(hn.hm.Busy(n)))
 		pt.EngStarted += st.Started
 		pt.EngRejected += st.Rejected
 		pt.EngCompleted += st.Completed
 		pt.EngBytesMoved += st.BytesMoved
 	}
 	pt.MachineDigest = digest
-	if pt.Finish > pt.Boot {
-		secs := float64(pt.Finish-pt.Boot) / 1e12
-		pt.GoodputMBps = float64(completed) * float64(w.bytes) / secs / 1e6
-		pt.GoodputRPCs = float64(completed) / secs
-	}
 	return pt
 }
 
@@ -763,19 +548,19 @@ func (w *scaleMWorld) observe() ScaleMachinePoint {
 // experiment, p.Procs is the INTRA-world worker count; the protocol
 // cells themselves also fan out on the cell runner.
 func scaleMachineCells(p Params) ([]Cell, error) {
-	nodes, shards, _, _, _, _, _, err := scaleMachineParams(p)
+	cfg, err := scaleMachineParams(p)
 	if err != nil {
 		return nil, err
 	}
-	methods, err := scaleMProtocols(p.Protocol)
+	sps, err := protocolsFor(p.Protocol)
 	if err != nil {
 		return nil, err
 	}
-	cfg := fmt.Sprintf("%dn/%ds", nodes, shards)
-	cells := make([]Cell, len(methods))
-	for i, method := range methods {
-		method := method
-		cells[i] = Cell{Method: method.Name(), Config: cfg, Run: func() (Obs, bool, error) {
+	label := fmt.Sprintf("%dn/%ds", cfg.nodes, cfg.shards)
+	cells := make([]Cell, len(sps))
+	for i, sp := range sps {
+		method := sp.method
+		cells[i] = Cell{Method: method.Name(), Config: label, Run: func() (Obs, bool, error) {
 			pt, err := RunScaleMachine(method, p, p.Procs)
 			if err != nil {
 				return Obs{}, false, fmt.Errorf("%s: %w", method.Name(), err)

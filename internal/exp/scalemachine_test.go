@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	userdma "uldma/internal/core"
 	"uldma/internal/fault"
+	"uldma/internal/net"
 	"uldma/internal/sim"
 )
 
@@ -24,7 +26,7 @@ func normalizeScaleM(pt ScaleMachinePoint) ScaleMachinePoint {
 // fingerprint) at shards × workers {1,4,8}. The world is small enough
 // to run the full 3×3 grid under the race detector too.
 func TestScaleMachineShardParity(t *testing.T) {
-	method, err := scaleMMethod("extshadow")
+	sp, err := protocolNamed("extshadow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestScaleMachineShardParity(t *testing.T) {
 	for _, shards := range []int{1, 4, 8} {
 		for _, workers := range []int{1, 4, 8} {
 			p.Shards = shards
-			pt, err := RunScaleMachine(method, p, workers)
+			pt, err := RunScaleMachine(sp.method, p, workers)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 			}
@@ -66,11 +68,11 @@ func TestScaleMachineProtocols(t *testing.T) {
 	p := Params{Nodes: 16, Shards: 4, Arrival: 5000, ScaleDur: sim.Millisecond}
 	p50 := map[string]sim.Time{}
 	for _, name := range []string{"kernel", "extshadow", "keybased", "repeated"} {
-		method, err := scaleMMethod(name)
+		sp, err := protocolNamed(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt, err := RunScaleMachine(method, p, 2)
+		pt, err := RunScaleMachine(sp.method, p, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -94,7 +96,7 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-machine world in -short mode")
 	}
-	method, err := scaleMMethod("extshadow")
+	sp, err := protocolNamed("extshadow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	have := false
 	for _, sw := range grid {
 		p.Shards = sw[0]
-		pt, err := RunScaleMachine(method, p, sw[1])
+		pt, err := RunScaleMachine(sp.method, p, sw[1])
 		if err != nil {
 			t.Fatalf("shards=%d workers=%d: %v", sw[0], sw[1], err)
 		}
@@ -128,31 +130,50 @@ func TestScaleMachineThousandNode(t *testing.T) {
 	}
 }
 
+// runScaleMachineFaulted runs the hosted world for method under p with
+// plane attached to the generator's cluster, and returns the plane's
+// drop and duplicate tallies with the observation.
+func runScaleMachineFaulted(t *testing.T, method userdma.Method, p Params, workers int, plane net.FaultPlane) (ScaleMachinePoint, uint64, uint64) {
+	t.Helper()
+	g, hn, err := newScaleMachineWorld(method, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.c.SetFaultPlane(plane)
+	g.prime()
+	if err := g.run(workers); err != nil {
+		t.Fatalf("shards=%d workers=%d: %v", p.Shards, workers, err)
+	}
+	drops, dups := g.c.FaultStats()
+	return hn.observe(g), drops, dups
+}
+
 // TestScaleMachineFaultParity pins the cross-shard fault injector on
 // the hosted-machine path: the same (plan, seed) perturbs the same
-// world identically at every layout, and the zero plan is byte-equal
-// to no plane at all (the golden-invariance proof).
+// world of full machines identically at every layout, and the zero
+// plan is byte-equal to no plane at all (the golden-invariance proof).
 func TestScaleMachineFaultParity(t *testing.T) {
+	method := userdma.ExtShadow{}
 	p := Params{Nodes: 32, Arrival: 20000, ScaleDur: sim.Millisecond}
 	plan := fault.Plan{Default: fault.LinkFaults{Drop: 0.05, Dup: 0.02}}
 	layouts := [][2]int{{1, 1}, {4, 4}, {8, 8}, {1, 8}, {8, 1}}
 	if raceEnabled {
 		layouts = [][2]int{{1, 1}, {4, 4}, {8, 8}}
 	}
-	var ref ScalePoint
+	var ref ScaleMachinePoint
 	var refDrops, refDups uint64
 	have := false
 	for _, sw := range layouts {
 		p.Shards = sw[0]
-		pt, drops, dups, err := RunScaleFaulted(p, sw[1], fault.New(plan, 77))
-		if err != nil {
-			t.Fatalf("shards=%d workers=%d: %v", sw[0], sw[1], err)
-		}
-		got := normalizeScale(pt)
+		pt, drops, dups := runScaleMachineFaulted(t, method, p, sw[1], fault.New(plan, 77))
+		got := normalizeScaleM(pt)
 		if !have {
 			ref, refDrops, refDups, have = got, drops, dups, true
 			if refDrops == 0 || refDups == 0 {
 				t.Fatalf("plan drew no faults (drops=%d dups=%d) — the parity check is vacuous", refDrops, refDups)
+			}
+			if ref.Completed == 0 || ref.EngCompleted == 0 {
+				t.Fatalf("degenerate reference run: %+v", ref)
 			}
 			continue
 		}
@@ -164,14 +185,11 @@ func TestScaleMachineFaultParity(t *testing.T) {
 
 	// Zero plan: provably inert — byte-equal to no plane at all.
 	p.Shards = 4
-	plain, err := RunScale(p, 4)
+	plain, err := RunScaleMachine(method, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeroed, drops, dups, err := RunScaleFaulted(p, 4, fault.New(fault.Plan{}, 99))
-	if err != nil {
-		t.Fatal(err)
-	}
+	zeroed, drops, dups := runScaleMachineFaulted(t, method, p, 4, fault.New(fault.Plan{}, 99))
 	if zeroed != plain || drops != 0 || dups != 0 {
 		t.Errorf("zero-plan run differs from plain run:\n got %+v (drops=%d dups=%d)\nwant %+v", zeroed, drops, dups, plain)
 	}
@@ -183,45 +201,37 @@ func TestScaleMachineFaultParity(t *testing.T) {
 // the pre-traffic fleet, run it, rewind, run again, and demand the
 // SAME observation both times.
 func TestScaleMachineSnapshotRestore(t *testing.T) {
-	method, err := scaleMMethod("keybased")
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := Params{Nodes: 16, Shards: 4, Arrival: 5000, ScaleDur: sim.Millisecond}
-	w, err := newScaleMachineWorld(method, p)
+	g, hn, err := newScaleMachineWorld(userdma.KeyBased{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := w.c.Snapshot()
+	sn, err := g.c.Snapshot()
 	if err != nil {
 		t.Fatalf("pre-traffic snapshot: %v", err)
 	}
-	w.prime()
-	first, err := w.run(2)
-	if err != nil {
+	g.prime()
+	if err := g.run(2); err != nil {
 		t.Fatal(err)
 	}
+	first := hn.observe(g)
 	if first.Completed == 0 {
 		t.Fatalf("degenerate first run: %+v", first)
 	}
-	if err := w.c.Restore(sn); err != nil {
+	if err := g.c.Restore(sn); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	w.prime()
-	second, err := w.run(2)
-	if err != nil {
+	g.prime()
+	if err := g.run(2); err != nil {
 		t.Fatal(err)
 	}
-	if second != first {
+	if second := hn.observe(g); second != first {
 		t.Errorf("restored world diverges:\n got %+v\nwant %+v", second, first)
 	}
 }
 
 func TestScaleMachineValidation(t *testing.T) {
-	good, err := scaleMMethod("extshadow")
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := userdma.ExtShadow{}
 	cases := []struct {
 		name string
 		p    Params
@@ -242,14 +252,14 @@ func TestScaleMachineValidation(t *testing.T) {
 			t.Errorf("%s: scaleMachineCells accepted", tc.name)
 		}
 	}
-	if _, err := scaleMMethod("bogus"); err == nil {
+	if _, err := protocolNamed("bogus"); err == nil {
 		t.Error("unknown protocol name accepted")
 	}
 	if _, err := scaleMachineCells(Params{Protocol: "bogus"}); err == nil {
 		t.Error("scaleMachineCells accepted an unknown protocol")
 	}
 	for _, name := range []string{"", "all"} {
-		ms, err := scaleMProtocols(name)
+		ms, err := protocolsFor(name)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
 		}
