@@ -52,9 +52,11 @@ bench:
 # contract visible and lets CI fail fast on the one invariant the whole
 # PR hangs off. The event queue's differential fuzz corpus and the
 # banded-flush oracle ride along: barrier delivery order comes from the
-# queue key, so both back the same invariant.
+# queue key, so both back the same invariant. So does the snapshot
+# check: every committed BENCH_scale/BENCH_scalemachine row must
+# reproduce exactly at its own parameters.
 shardparity:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleFaultedPinned|TestScaleMachineSnapshotRestore|TestBandedFlushMatchesSortReference|FuzzEventQueue' ./internal/sim ./internal/net ./internal/exp
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSnapshotRestore|TestScaleShardParity|TestScaleMachineShardParity|TestScaleMachineFaultParity|TestScaleFaultedPinned|TestScaleMachineSnapshotRestore|TestScaleSnapshotsReproduce|TestBandedFlushMatchesSortReference|FuzzEventQueue' ./internal/sim ./internal/net ./internal/exp
 
 # The descriptor-ring contracts, run under the race detector: amortized
 # initiation falls monotonically with depth (2x floor at depth 32),

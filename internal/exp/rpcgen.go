@@ -147,11 +147,9 @@ type rpcGen struct {
 	boot sim.Time // arrivals start after it
 	end  sim.Time // arrival window close (boot + dur)
 
-	issueAt   [][]sim.Time // per client: arrival instant of RPC seq i
-	lats      [][]sim.Time // per client: completed RPC latencies
-	issued    []uint64
-	completed []uint64
-	err       error
+	issueAt [][]sim.Time // per client: arrival instant of RPC seq i
+	lats    [][]sim.Time // per client: completed RPC latencies
+	err     error
 }
 
 // newRPCGen builds the sharded cluster for cfg — per-pair wire latency
@@ -177,8 +175,6 @@ func newRPCGen(cfg rpcConfig, boot sim.Time, latency func(src, dst int) sim.Time
 		end:       boot + cfg.dur,
 		issueAt:   make([][]sim.Time, cfg.nodes),
 		lats:      make([][]sim.Time, cfg.nodes),
-		issued:    make([]uint64, cfg.nodes),
-		completed: make([]uint64, cfg.nodes),
 	}
 	c.SetDeliver(g.deliver)
 	return g, nil
@@ -203,8 +199,10 @@ func (g *rpcGen) run(workers int) error {
 	return g.err
 }
 
-func (g *rpcGen) fail(err error) {
-	if g.err == nil {
+// latch keeps the first node-model error. A nil err writes nothing:
+// shards run concurrently and every event reads g.err.
+func (g *rpcGen) latch(err error) {
+	if err != nil && g.err == nil {
 		g.err = err
 	}
 }
@@ -235,10 +233,7 @@ func (g *rpcGen) arrive(n int, now sim.Time) {
 	}
 	seq := uint64(len(g.issueAt[n]))
 	g.issueAt[n] = append(g.issueAt[n], now)
-	g.issued[n]++
-	if err := g.node.request(n, dst, seq, now); err != nil {
-		g.fail(err)
-	}
+	g.latch(g.node.request(n, dst, seq, now))
 }
 
 // deliver is the fabric receive hook: requests go to the server's
@@ -247,28 +242,21 @@ func (g *rpcGen) deliver(m net.SMsg, now sim.Time) {
 	if g.err != nil {
 		return
 	}
-	var err error
 	switch m.Kind {
 	case scaleKindReq:
-		err = g.node.serve(m, now)
+		g.latch(g.node.serve(m, now))
 	case scaleKindResp:
 		d := m.Dst
 		g.lats[d] = append(g.lats[d], now-g.issueAt[d][m.Arg])
-		g.completed[d]++
-		err = g.node.complete(m, now)
-	}
-	if err != nil {
-		g.fail(err)
+		g.latch(g.node.complete(m, now))
 	}
 }
 
 // rpcState is the generator's snapshot payload (net.ShardState).
 type rpcState struct {
-	issueAt   [][]sim.Time
-	lats      [][]sim.Time
-	issued    []uint64
-	completed []uint64
-	err       error
+	issueAt [][]sim.Time
+	lats    [][]sim.Time
+	err     error
 }
 
 // SnapshotState implements net.ShardState: a cluster Snapshot/Restore
@@ -276,11 +264,9 @@ type rpcState struct {
 // restored world double-counts.
 func (g *rpcGen) SnapshotState() any {
 	st := &rpcState{
-		issueAt:   make([][]sim.Time, g.nodes),
-		lats:      make([][]sim.Time, g.nodes),
-		issued:    append([]uint64(nil), g.issued...),
-		completed: append([]uint64(nil), g.completed...),
-		err:       g.err,
+		issueAt: make([][]sim.Time, g.nodes),
+		lats:    make([][]sim.Time, g.nodes),
+		err:     g.err,
 	}
 	for n := 0; n < g.nodes; n++ {
 		st.issueAt[n] = append([]sim.Time(nil), g.issueAt[n]...)
@@ -295,15 +281,13 @@ func (g *rpcGen) RestoreState(state any) error {
 	if !ok {
 		return fmt.Errorf("exp: rpc generator: foreign snapshot payload %T", state)
 	}
-	if len(st.issued) != g.nodes {
-		return fmt.Errorf("exp: rpc generator: snapshot of %d nodes onto %d", len(st.issued), g.nodes)
+	if len(st.issueAt) != g.nodes {
+		return fmt.Errorf("exp: rpc generator: snapshot of %d nodes onto %d", len(st.issueAt), g.nodes)
 	}
 	for n := 0; n < g.nodes; n++ {
 		g.issueAt[n] = append(g.issueAt[n][:0], st.issueAt[n]...)
 		g.lats[n] = append(g.lats[n][:0], st.lats[n]...)
 	}
-	copy(g.issued, st.issued)
-	copy(g.completed, st.completed)
 	g.err = st.err
 	return nil
 }
@@ -315,8 +299,8 @@ func (g *rpcGen) observe() ScalePoint {
 	var sample stats.Sample
 	var issued, completed uint64
 	for n := 0; n < g.nodes; n++ {
-		issued += g.issued[n]
-		completed += g.completed[n]
+		issued += uint64(len(g.issueAt[n]))
+		completed += uint64(len(g.lats[n]))
 		for _, l := range g.lats[n] {
 			sample.Add(l)
 		}

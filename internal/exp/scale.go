@@ -102,9 +102,7 @@ func RunScaleFaulted(p Params, workers int, plane net.FaultPlane) (pt ScalePoint
 	if err != nil {
 		return ScalePoint{}, 0, 0, err
 	}
-	if plane != nil {
-		g.c.SetFaultPlane(plane)
-	}
+	g.c.SetFaultPlane(plane)
 	g.node = &flatNode{
 		c:        g.c,
 		bytes:    cfg.bytes,

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -188,5 +190,59 @@ func TestScaleExperimentRenders(t *testing.T) {
 	}
 	if rows[0].HostNs != 0 {
 		t.Fatalf("HostNs = %d before any -bench fill, want omitted zero", rows[0].HostNs)
+	}
+}
+
+// TestScaleSnapshotsReproduce reruns every committed Scale and
+// ScaleMachine row of BENCH_scale.json and BENCH_scalemachine.json at
+// the row's own parameters and demands every simulated field back
+// exactly; only the Host* wall-clock leaves may differ. `make
+// baseline-scale` passes no -seed, so the rows are at the default seed.
+func TestScaleSnapshotsReproduce(t *testing.T) {
+	var flat struct{ Scale []ScaleRow }
+	var hosted struct{ ScaleMachine []ScaleMachineRow }
+	readJSON(t, "../../BENCH_scale.json", &flat)
+	readJSON(t, "../../BENCH_scalemachine.json", &hosted)
+	if len(flat.Scale) == 0 || len(hosted.ScaleMachine) == 0 {
+		t.Fatalf("snapshots hold %d Scale and %d ScaleMachine rows, want both populated", len(flat.Scale), len(hosted.ScaleMachine))
+	}
+	params := func(nodes, shards, arrival, tenants int, bytes uint64, durPs int64) Params {
+		return Params{Nodes: nodes, Shards: shards, Arrival: arrival, Tenants: tenants,
+			ScaleBytes: bytes, ScaleDur: sim.Time(durPs)}
+	}
+	for _, want := range flat.Scale {
+		if testing.Short() && want.Nodes >= 1000 {
+			t.Logf("%s: skipped in -short mode", want.Label)
+			continue
+		}
+		pt, err := RunScale(params(want.Nodes, want.Shards, want.Arrival, want.Tenants, want.Bytes, want.DurPs), want.Shards)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Label, err)
+		}
+		want.HostNs, want.HostEventsPerSec, want.HostCPUs = 0, 0, 0
+		if got := ScaleRowOf(pt); got != want {
+			t.Errorf("%s does not reproduce:\n got %+v\nwant %+v", want.Label, got, want)
+		}
+	}
+	for _, want := range hosted.ScaleMachine {
+		pt, err := RunScaleMachineNamed(want.Protocol, params(want.Nodes, want.Shards, want.Arrival, want.Tenants, want.Bytes, want.DurPs), want.Shards)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Label, err)
+		}
+		want.HostNs, want.HostEventsPerSec, want.HostCPUs = 0, 0, 0
+		if got := ScaleMachineRowOf(pt); got != want {
+			t.Errorf("%s does not reproduce:\n got %+v\nwant %+v", want.Label, got, want)
+		}
+	}
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

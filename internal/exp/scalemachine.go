@@ -137,10 +137,9 @@ type ScaleMachinePoint struct {
 // built, attached and mapped for a (protocol, cluster size) pair, plus
 // the precomputed pieces every clone shares.
 type scaleMTemplate struct {
-	snap   *machine.Snapshot
+	snap   *machine.Snapshot // clones must not run before its Time
 	h      *userdma.Handle
 	p      *proc.Process
-	boot   sim.Time  // snapshot time; clones must not run before it
 	reqPA  phys.Addr // client request payload frame
 	respPA phys.Addr // server response payload frame
 }
@@ -220,7 +219,7 @@ func scaleMTemplateFor(method userdma.Method, nodes int) (*scaleMTemplate, error
 	if err != nil {
 		return nil, err
 	}
-	t := &scaleMTemplate{snap: snap, h: h, p: p, boot: snap.Time(), reqPA: frames[0], respPA: frames[1]}
+	t := &scaleMTemplate{snap: snap, h: h, p: p, reqPA: frames[0], respPA: frames[1]}
 	scaleMCache[key] = t
 	return t, nil
 }
@@ -229,13 +228,10 @@ func scaleMTemplateFor(method userdma.Method, nodes int) (*scaleMTemplate, error
 // machine per node, all cloned from one template, so every node runs
 // the same process with the same address map.
 type hostedNode struct {
+	*scaleMTemplate
 	hm       *net.HostedMachines
-	h        *userdma.Handle
-	p        *proc.Process
 	protocol string
 	bytes    uint64
-	reqPA    phys.Addr
-	respPA   phys.Addr
 }
 
 // scaleMPort is one node's fabric attachment: the engine's remote ships
@@ -386,7 +382,7 @@ func newScaleMachineWorld(method userdma.Method, p Params) (*rpcGen, *hostedNode
 	// the base latency. A pure function of the node ids, so identical
 	// under every shard layout.
 	base := net.Gigabit().Latency
-	g, err := newRPCGen(cfg, tpl.boot, func(src, dst int) sim.Time {
+	g, err := newRPCGen(cfg, tpl.snap.Time(), func(src, dst int) sim.Time {
 		if src/scaleMRackSize == dst/scaleMRackSize {
 			return base
 		}
@@ -411,23 +407,15 @@ func newScaleMachineWorld(method userdma.Method, p Params) (*rpcGen, *hostedNode
 	}
 	// Chain the generator's RPC bookkeeping behind the fleet snapshot.
 	hm.Inner = g
-	hn := &hostedNode{
-		hm:       hm,
-		h:        tpl.h,
-		p:        tpl.p,
-		protocol: protocolName(method),
-		bytes:    cfg.bytes,
-		reqPA:    tpl.reqPA,
-		respPA:   tpl.respPA,
-	}
+	hn := &hostedNode{scaleMTemplate: tpl, hm: hm, protocol: protocolName(method), bytes: cfg.bytes}
 	g.node = hn
 	return g, hn, nil
 }
 
-// tag writes the RPC tag into the first word of a payload frame — the
-// application-level "produce the message" step (free, like the flat
-// model's payload; the DMA that moves it pays full price).
-func tag(m *machine.Machine, pa phys.Addr, seq uint64) error {
+// scaleMTag writes the RPC tag into the first word of a payload frame
+// — the application-level "produce the message" step (free, like the
+// flat model's payload; the DMA that moves it pays full price).
+func scaleMTag(m *machine.Machine, pa phys.Addr, seq uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], seq)
 	return m.Mem.WriteBytes(pa, b[:])
@@ -457,7 +445,7 @@ func (hn *hostedNode) initiate(n int, m *machine.Machine, src, dst vm.VAddr, byt
 func (hn *hostedNode) request(n, dst int, seq uint64, now sim.Time) error {
 	m := hn.hm.Machine(n)
 	hn.hm.Floor(n, now)
-	if err := tag(m, hn.reqPA, seq); err != nil {
+	if err := scaleMTag(m, hn.reqPA, seq); err != nil {
 		return err
 	}
 	return hn.initiate(n, m, scaleMReqVA, scaleMPeerVA(dst), hn.bytes, "request", seq)
@@ -471,14 +459,14 @@ func (hn *hostedNode) serve(req net.SMsg, now sim.Time) error {
 	d := req.Dst
 	m := hn.hm.Machine(d)
 	hn.hm.Floor(d, now)
-	if err := tag(m, scaleMReqOff, req.Arg); err != nil {
+	if err := scaleMTag(m, scaleMReqOff, req.Arg); err != nil {
 		return err
 	}
 	if _, err := m.CPU.Load(hn.p.AddressSpace(), scaleMLandReqVA, phys.Size64); err != nil {
 		return err
 	}
 	m.CPU.Spin(scaleMSrvCycles)
-	if err := tag(m, hn.respPA, req.Arg); err != nil {
+	if err := scaleMTag(m, hn.respPA, req.Arg); err != nil {
 		return err
 	}
 	return hn.initiate(d, m, scaleMRespVA, scaleMPeerVA(req.Src)+scaleMPage, scaleMRespBytes, "response to", uint64(req.Src))
@@ -490,7 +478,7 @@ func (hn *hostedNode) complete(resp net.SMsg, now sim.Time) error {
 	d := resp.Dst
 	m := hn.hm.Machine(d)
 	hn.hm.Floor(d, now)
-	if err := tag(m, scaleMRespOff, resp.Arg); err != nil {
+	if err := scaleMTag(m, scaleMRespOff, resp.Arg); err != nil {
 		return err
 	}
 	if _, err := m.CPU.Load(hn.p.AddressSpace(), scaleMLandRespVA, phys.Size64); err != nil {
