@@ -1039,9 +1039,6 @@ func TestWindowBoundaries(t *testing.T) {
 		{"atomic", cfg.AtomicBase, cfg.AtomicWindowSize()},
 		{"remote", cfg.RemoteBase, cfg.RemoteWindowSize()},
 	}
-	if got := cfg.WindowOf(0x1000); got != "" {
-		t.Errorf("plain memory classified %q", got)
-	}
 	for _, c := range cases {
 		if got := cfg.WindowOf(c.base); got != c.name {
 			t.Errorf("%s first byte classified %q", c.name, got)
@@ -1051,6 +1048,28 @@ func TestWindowBoundaries(t *testing.T) {
 		}
 		if got := cfg.WindowOf(c.base + phys.Addr(c.size)); got == c.name {
 			t.Errorf("%s end+1 still classified %q", c.name, got)
+		}
+	}
+}
+
+func TestWindowOfNames(t *testing.T) {
+	// An address inside each window, built with the same encoders the
+	// drivers use, decodes to that window's name; plain memory to "".
+	cfg := newEngine(t, ModeKeyed, nil).e.cfg
+	cases := []struct {
+		name string
+		addr phys.Addr
+	}{
+		{"shadow", cfg.ShadowBase + 8},
+		{"ctx", cfg.CtxPage(1)},
+		{"control", cfg.ControlBase},
+		{"atomic", cfg.AtomicShadow(0x40, AtomicAdd)},
+		{"remote", cfg.RemoteAddr(1, 0x100)},
+		{"", 0x1000},
+	}
+	for _, c := range cases {
+		if got := cfg.WindowOf(c.addr); got != c.name {
+			t.Errorf("WindowOf(%#x) = %q, want %q", c.addr, got, c.name)
 		}
 	}
 }
