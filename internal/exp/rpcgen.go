@@ -147,9 +147,10 @@ type rpcGen struct {
 	boot sim.Time // arrivals start after it
 	end  sim.Time // arrival window close (boot + dur)
 
-	issueAt [][]sim.Time // per client: arrival instant of RPC seq i
-	lats    [][]sim.Time // per client: completed RPC latencies
-	err     error
+	issueAt  [][]sim.Time         // per client: arrival instant of RPC seq i
+	lats     [][]sim.Time         // per client: completed RPC latencies
+	arrivals []func(now sim.Time) // per node: its arrival event
+	err      error
 }
 
 // newRPCGen builds the sharded cluster for cfg — per-pair wire latency
@@ -173,11 +174,32 @@ func newRPCGen(cfg rpcConfig, boot sim.Time, latency func(src, dst int) sim.Time
 		c:         c,
 		boot:      boot,
 		end:       boot + cfg.dur,
-		issueAt:   make([][]sim.Time, cfg.nodes),
-		lats:      make([][]sim.Time, cfg.nodes),
+		issueAt:   perNode(cfg),
+		lats:      perNode(cfg),
+		arrivals:  make([]func(now sim.Time), cfg.nodes),
+	}
+	for n := range g.arrivals {
+		g.arrivals[n] = func(now sim.Time) { g.arrive(n, now) }
 	}
 	c.SetDeliver(g.deliver)
 	return g, nil
+}
+
+// perNode returns one empty sample slice per node, each with room for
+// the node's expected arrival count plus slack, carved from one array.
+// A node's count over the window has mean tenants·dur/interval and,
+// with uniform jitter, a standard deviation of about the square root
+// of a twelfth of that, so a sixteenth more plus one per stream rarely
+// overflows; a node that does falls back to append growth alone.
+func perNode(cfg rpcConfig) [][]sim.Time {
+	want := int(cfg.dur/cfg.interval) * cfg.tenants
+	want += want/16 + cfg.tenants
+	all := make([]sim.Time, cfg.nodes*want)
+	s := make([][]sim.Time, cfg.nodes)
+	for n := range s {
+		s[n] = all[n*want : n*want : (n+1)*want]
+	}
+	return s
 }
 
 // prime schedules every tenant stream's jittered first arrival past
@@ -214,7 +236,7 @@ func (g *rpcGen) jitter(n int, now sim.Time) sim.Time {
 }
 
 func (g *rpcGen) scheduleArrival(n int, at sim.Time) {
-	g.c.At(n, at, func(now sim.Time) { g.arrive(n, now) })
+	g.c.At(n, at, g.arrivals[n])
 }
 
 // arrive is one RPC arrival on node n: keep the stream alive, pick a

@@ -13,6 +13,7 @@ package net
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uldma/internal/dma"
 	"uldma/internal/machine"
@@ -28,6 +29,19 @@ type LinkConfig struct {
 	Latency sim.Time
 	// Bandwidth is the serialization rate in bytes/second.
 	Bandwidth uint64
+}
+
+// serialization is how long bytes take to clock onto the link:
+// bytes·1s/Bandwidth, floored. The product is taken at 128 bits, since
+// at picosecond resolution a 64-bit one wraps from 2^64/10^12 B
+// (about 18.4 MB) up; a time past Never saturates there.
+func (l LinkConfig) serialization(bytes uint64) sim.Time {
+	hi, lo := bits.Mul64(bytes, uint64(sim.Second))
+	if hi >= l.Bandwidth {
+		return sim.Never
+	}
+	q, _ := bits.Div64(hi, lo, l.Bandwidth)
+	return sim.Time(min(q, uint64(sim.Never)))
 }
 
 // Gigabit returns a mid-90s "Gigabit LAN" link: ~1 µs switch latency,
@@ -440,8 +454,7 @@ func (f *Fabric) deliver(src, node int, addr phys.Addr, data []byte, at sim.Time
 	f.ctr.messages.Inc()
 	f.ctr.bytes.Add(uint64(len(data)))
 	f.ctr.remoteMax.Max(int64(node))
-	arrive := at + f.link.Latency +
-		sim.Time(uint64(len(data))*uint64(sim.Second)/f.link.Bandwidth)
+	arrive := at + f.link.Latency + f.link.serialization(uint64(len(data)))
 	if f.plane == nil {
 		if f.tr != nil {
 			f.tr.Span(at, arrive-at, obs.CatLink, "deliver",

@@ -433,3 +433,26 @@ func TestLinkPresets(t *testing.T) {
 		t.Fatal("links need nonzero latency")
 	}
 }
+
+// serialization32MiB is a 32 MiB payload's time on a Gigabit link:
+// 2^25 B · 8 ns/B. Its picosecond product with 1 s, about 3.4e19,
+// does not fit in 64 bits.
+const serialization32MiB = sim.Time(1<<25) * 8 * sim.Nanosecond
+
+// TestFabricSerializationNoWrap: a payload past 2^64/10^12 B arrives
+// after its full serialization time, not a wrapped one.
+func TestFabricSerializationNoWrap(t *testing.T) {
+	cfg := clusterCfg()
+	cfg.MemSize = 64 << 20 // sparse: only written chunks materialize
+	c, err := NewCluster(2, cfg, Gigabit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 3 * sim.Microsecond
+	if err := c.Fabric.Deliver(1, 0, make([]byte, 32<<20), at); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.Events.NextAt(), at+Gigabit().Latency+serialization32MiB; got != want {
+		t.Fatalf("32 MiB payload arrives at %v, want %v", got, want)
+	}
+}

@@ -443,7 +443,7 @@ func (c *ShardedCluster) Send(src, dst int, kind uint8, bytes, arg uint64, now s
 	if c.egress[src] > dep {
 		dep = c.egress[src]
 	}
-	dep += sim.Time(bytes * uint64(sim.Second) / c.cfg.Link.Bandwidth)
+	dep += c.cfg.Link.serialization(bytes)
 	c.egress[src] = dep
 	c.eseq[src]++
 	lat := c.cfg.Link.Latency

@@ -238,3 +238,23 @@ func TestShardedRunNeedsDeliver(t *testing.T) {
 		t.Fatal("Run without SetDeliver succeeded")
 	}
 }
+
+// TestSendSerializationNoWrap: a 32 MiB message holds its sender's
+// egress port for the full serialization time and arrives a link
+// latency after that, not at a wrapped 64-bit product.
+func TestSendSerializationNoWrap(t *testing.T) {
+	c, err := NewShardedCluster(ShardedConfig{Nodes: 2, Shards: 1, Link: Gigabit(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arrived []sim.Time
+	c.SetDeliver(func(m SMsg, now sim.Time) { arrived = append(arrived, now) })
+	c.At(0, 0, func(now sim.Time) { c.Send(0, 1, 1, 32<<20, 0, now) })
+	if err := c.Run(1, 100); err != nil {
+		t.Fatal(err)
+	}
+	want := []sim.Time{serialization32MiB + Gigabit().Latency}
+	if !reflect.DeepEqual(arrived, want) {
+		t.Fatalf("32 MiB message arrived at %v, want %v", arrived, want)
+	}
+}

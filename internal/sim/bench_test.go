@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The event queue is the hottest object in the simulator: every DMA
 // burst, packet arrival and timer goes through it. The benchmarks pin
@@ -106,9 +109,8 @@ func BenchmarkScheduleFuncBurst(b *testing.B) {
 
 // holdQueue builds the hold model at depth pending events: every fired
 // event schedules its successor a pseudo-random 1..2048 ticks later, so
-// the queue stays at depth while step pops and pushes through the whole
-// heap. 1000 pending events is the per-shard depth of the 1000-node
-// scale world at one shard.
+// the queue stays at depth while step pops and pushes through both
+// tiers.
 func holdQueue(depth int) (step func()) {
 	q := NewEventQueueSize(depth)
 	x := uint64(0x9e3779b97f4a7c15)
@@ -135,13 +137,18 @@ func TestEventQueueStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueueStep is one Step of the hold model at 1000
-// pending events: a pop, a fire and a push.
+// BenchmarkEventQueueStep is one Step of the hold model — a pop, a
+// fire and a push — at three depths: 64, 616 (the mean per-shard depth
+// of the 1000-node scale world, now_rpc) and 4096.
 func BenchmarkEventQueueStep(b *testing.B) {
-	step := holdQueue(1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
+	for _, depth := range []int{64, 616, 4096} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			step := holdQueue(depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }

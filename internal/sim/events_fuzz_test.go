@@ -89,6 +89,13 @@ const childBase = 1 << 30
 // a child from inside its Fire, the DMA-walker pattern that recycles
 // the event being fired. Timestamps span 16 ticks, so the tie-break
 // words decide most comparisons.
+//
+// Op bytes from 0xe0 up are the far variants, which reach the queue's
+// far tier: a schedule lands a<<(b>>4) ticks ahead (up to about 2^23),
+// RunUntil jumps as far, and Step becomes Drain. Mixed with the near
+// ops they schedule behind hi right after a refill, fill the overflow
+// while buckets are live and force it to re-spread, and Cancel, Reset
+// and Drain with buckets populated.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 3, 2, 3, 1, 3, 4, 3, 2, 6, 6, 6, 6, 6, 6})
 	f.Add([]byte{3, 5, 9, 4, 5, 1, 4, 5, 7, 1, 5, 0, 3, 2, 8, 7, 40})
@@ -138,7 +145,11 @@ func FuzzEventQueue(f *testing.F) {
 
 		for i := 0; i+2 < len(ops); i += 3 {
 			op, a, b := ops[i]%9, ops[i+1], ops[i+2]
+			far := ops[i] >= 0xe0
 			at := now + Time(a%16)
+			if far {
+				at = now + Time(a)<<(b>>4)
+			}
 			switch op {
 			case 0: // Schedule (handle)
 				id := newID()
@@ -176,7 +187,21 @@ func FuzzEventQueue(f *testing.F) {
 					state[h.id] = hCancelled
 					ref.take(ref.find(h.id))
 				}
-			case 6: // Step
+			case 6:
+				if far { // Drain
+					last := q.Drain(now)
+					wantLast := now
+					for len(ref.evs) > 0 {
+						wantLast = max(wantLast, ref.evs[ref.min()].at)
+						stepRef()
+					}
+					if last != wantLast {
+						t.Fatalf("op %d: Drain returned %v, model %v", i/3, last, wantLast)
+					}
+					now = last
+					break
+				}
+				// Step
 				at, ok := q.Step()
 				if ok != (len(ref.evs) > 0) {
 					t.Fatalf("op %d: Step reported %v with %d model events pending", i/3, ok, len(ref.evs))
@@ -189,6 +214,9 @@ func FuzzEventQueue(f *testing.F) {
 				}
 			case 7: // RunUntil
 				to := now + Time(a%32)
+				if far {
+					to = at
+				}
 				q.RunUntil(to)
 				for len(ref.evs) > 0 && ref.evs[ref.min()].at <= to {
 					stepRef()
